@@ -75,81 +75,39 @@ let device t = t.device
 
 let words_per_block t = Rmt.Params.words_per_block (Rmt.Device.params t.device)
 
-let take_snapshot t ~fid =
-  match Activermt.Table.regions_of t.tables ~fid with
-  | None -> 0
-  | Some regions ->
-    let wpb = words_per_block t in
-    let snaps = ref [] in
-    let words = ref 0 in
-    Array.iteri
-      (fun stage reg ->
-        match reg with
-        | None -> ()
-        | Some { Activermt.Packet.start_word; n_words } ->
-          let st = Rmt.Device.stage t.device stage in
-          let data =
-            Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
-              ~hi:(start_word + n_words - 1)
-          in
-          words := !words + n_words;
-          snaps :=
-            ( stage,
-              { Pool.first_block = start_word / wpb; n_blocks = n_words / wpb },
-              data )
-            :: !snaps)
-      regions;
-    Hashtbl.replace t.snapshots fid (List.rev !snaps);
-    !words
+let zero_regions t regions =
+  Array.iteri
+    (fun stage reg ->
+      match reg with
+      | None -> ()
+      | Some { Activermt.Packet.start_word; n_words } ->
+        let st = Rmt.Device.stage t.device stage in
+        Rmt.Register_array.zero_range st.Rmt.Device.regs ~lo:start_word
+          ~hi:(start_word + n_words - 1))
+    regions
 
-let zero_regions t ~fid =
-  match Activermt.Table.regions_of t.tables ~fid with
-  | None -> ()
-  | Some regions ->
-    Array.iteri
-      (fun stage reg ->
-        match reg with
-        | None -> ()
-        | Some { Activermt.Packet.start_word; n_words } ->
-          let st = Rmt.Device.stage t.device stage in
-          Rmt.Register_array.zero_range st.Rmt.Device.regs ~lo:start_word
-            ~hi:(start_word + n_words - 1))
-      regions
+(* Install (or re-install) an app's tables for [regions].  The
+   allocator's TCAM headroom estimate is conservative, so installation
+   cannot fail; an error here is an internal invariant violation. *)
+let install_regions t ~fid ~virtual_addressing regions =
+  Activermt.Table.remove t.tables ~fid;
+  match
+    Activermt.Table.install t.tables ~fid ~virtual_addressing
+      ~privileged:(Hashtbl.mem t.privileged fid)
+      ?max_passes:(Hashtbl.find_opt t.pass_limits fid)
+      ~regions
+  with
+  | Ok () -> ()
+  | Error (`Tcam_capacity s) ->
+    failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s)
+  | Error `Already_installed -> assert false
 
 (* Install (or re-install) an app's tables from the allocator's current
-   placement.  The allocator's TCAM headroom estimate is conservative, so
-   installation cannot fail; an error here is an internal invariant
-   violation. *)
+   placement. *)
 let install_current t ~fid ~virtual_addressing =
-  Activermt.Table.remove t.tables ~fid;
   match Allocator.regions_response t.allocator ~fid with
-  | None -> ()
-  | Some regions -> (
-    match
-      Activermt.Table.install t.tables ~fid ~virtual_addressing
-        ~privileged:(Hashtbl.mem t.privileged fid)
-        ?max_passes:(Hashtbl.find_opt t.pass_limits fid)
-        ~regions
-    with
-    | Ok () -> ()
-    | Error (`Tcam_capacity s) ->
-      failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s)
-    | Error `Already_installed -> assert false)
-
-let copy_snapshot_to_new_region t ~fid =
-  match (Hashtbl.find_opt t.snapshots fid, Activermt.Table.regions_of t.tables ~fid) with
-  | None, _ | _, None -> ()
-  | Some snaps, Some new_regions ->
-    List.iter
-      (fun (stage, _old_range, data) ->
-        match new_regions.(stage) with
-        | None -> ()
-        | Some { Activermt.Packet.start_word; n_words } ->
-          let st = Rmt.Device.stage t.device stage in
-          let copy_len = min n_words (Array.length data) in
-          Rmt.Register_array.restore_range st.Rmt.Device.regs ~lo:start_word
-            (Array.sub data 0 copy_len))
-      snaps
+  | None -> Activermt.Table.remove t.tables ~fid
+  | Some regions -> install_regions t ~fid ~virtual_addressing regions
 
 let virtual_of t fid =
   Option.value ~default:true (Hashtbl.find_opt t.virtual_flags fid)
@@ -159,9 +117,112 @@ let commit_app t ~fid =
   Activermt.Table.unquiesce t.tables ~fid
 
 let commit_new_app t ~fid =
-  install_current t ~fid ~virtual_addressing:(virtual_of t fid);
-  zero_regions t ~fid;
+  (match Allocator.regions_response t.allocator ~fid with
+  | None -> Activermt.Table.remove t.tables ~fid
+  | Some regions ->
+    install_regions t ~fid ~virtual_addressing:(virtual_of t fid) regions;
+    zero_regions t regions);
   Activermt.Table.unquiesce t.tables ~fid
+
+(* --- Register-state relocation (Section 4.3) ------------------------ *)
+
+(* One reallocated app's move: its installed regions before the move, its
+   new regions (read from the allocator once, for both the diff and the
+   table install) and the snapshot of each stage whose region changed. *)
+type move = {
+  move_fid : Activermt.Packet.fid;
+  prev : Activermt.Packet.region option array;
+  next : Activermt.Packet.region option array option;
+  snaps : (int * Pool.range * int array) list;
+}
+
+(* Snapshot the stages of [fid]'s installed regions that its new
+   placement changes in start word or length.  Also returns the app's
+   full region size in words: the paper snapshots the whole app, and the
+   cost model charges for that. *)
+let snapshot_move t fid =
+  let next = Allocator.regions_response t.allocator ~fid in
+  match Activermt.Table.regions_of t.tables ~fid with
+  | None -> ({ move_fid = fid; prev = [||]; next; snaps = [] }, 0)
+  | Some prev ->
+    let wpb = words_per_block t in
+    let snaps = ref [] in
+    let words = ref 0 in
+    Array.iteri
+      (fun stage reg ->
+        match reg with
+        | None -> ()
+        | Some { Activermt.Packet.start_word; n_words } ->
+          words := !words + n_words;
+          let unchanged =
+            match next with Some next -> next.(stage) = reg | None -> false
+          in
+          if not unchanged then begin
+            let st = Rmt.Device.stage t.device stage in
+            let data =
+              Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
+                ~hi:(start_word + n_words - 1)
+            in
+            snaps :=
+              ( stage,
+                { Pool.first_block = start_word / wpb; n_blocks = n_words / wpb },
+                data )
+              :: !snaps
+          end)
+      prev;
+    let snaps = List.rev !snaps in
+    Hashtbl.replace t.snapshots fid snaps;
+    ({ move_fid = fid; prev; next; snaps }, !words)
+
+(* Reinstall a moved app's tables from its new regions and, in [`Auto]
+   mode, copy the first min(old, new) words of every stage whose start
+   word moved back from the snapshot.  A stage that keeps its start word
+   keeps its contents in place: no other app's install, zeroing or
+   copy-back writes inside this app's new regions. *)
+let apply_move t m =
+  let fid = m.move_fid in
+  match m.next with
+  | None -> Activermt.Table.remove t.tables ~fid
+  | Some next ->
+    install_regions t ~fid ~virtual_addressing:(virtual_of t fid) next;
+    if t.mode = `Auto then
+      List.iter
+        (fun (stage, _, data) ->
+          match (m.prev.(stage), next.(stage)) with
+          | Some old, Some { Activermt.Packet.start_word; n_words }
+            when start_word <> old.Activermt.Packet.start_word ->
+            let st = Rmt.Device.stage t.device stage in
+            Rmt.Register_array.restore_range st.Rmt.Device.regs ~lo:start_word
+              ~len:(min n_words (Array.length data))
+              data
+          | _ -> ())
+        m.snaps
+
+(* The relocation path shared by admission, epoch drain and departure.
+   Snapshots what moves for every app in [fids] (the [control.snapshot]
+   span), then runs [commit reinstall] inside the [control.table_update]
+   span, with the table update counters reset; [reinstall ()] moves every
+   app in [fids] to its new regions, and [commit] adds the caller's other
+   table work.  Returns the full-app snapshot word count and [commit]'s
+   result. *)
+let relocate ?trace t fids ~commit =
+  let moves =
+    Telemetry.with_span t.tel "control.snapshot" (fun () ->
+        List.map (snapshot_move t) fids)
+  in
+  let words = List.fold_left (fun acc (_, w) -> acc + w) 0 moves in
+  (match trace with
+  | None -> ()
+  | Some c ->
+    ignore
+      (Trace.instant t.tracer c
+         ~attrs:[ ("words", string_of_int words) ]
+         "control.snapshot"));
+  Activermt.Table.reset_update_stats t.tables;
+  Telemetry.span_begin t.tel "control.table_update";
+  let result = commit (fun () -> List.iter (fun (m, _) -> apply_move t m) moves) in
+  Telemetry.span_end t.tel (* control.table_update *);
+  (words, result)
 
 let response_packet t ~fid ~flags ~granted =
   let n = (Rmt.Device.params t.device).Rmt.Params.logical_stages in
@@ -284,38 +345,22 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
     | Allocator.Admitted adm ->
       Hashtbl.replace t.virtual_flags fid flags.Activermt.Packet.virtual_addressing;
       let realloc_fids = List.map fst adm.Allocator.reallocated in
-      let words =
-        Telemetry.with_span t.tel "control.snapshot" (fun () ->
-            List.fold_left (fun acc f -> acc + take_snapshot t ~fid:f) 0 realloc_fids)
+      let words, phase =
+        relocate ?trace:tctx t realloc_fids ~commit:(fun reinstall ->
+            match (t.mode, realloc_fids) with
+            | `Auto, _ | `Interactive, [] ->
+              reinstall ();
+              List.iter (fun f -> Activermt.Table.unquiesce t.tables ~fid:f) realloc_fids;
+              commit_new_app t ~fid;
+              Committed
+            | `Interactive, impacted ->
+              List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
+              Activermt.Table.quiesce t.tables ~fid;
+              t.pending <-
+                Some
+                  { new_fid = fid; waiting = impacted; deadline_s = t.extraction_timeout_s };
+              Awaiting_extraction { impacted })
       in
-      (match tctx with
-      | None -> ()
-      | Some c ->
-        ignore
-          (Trace.instant t.tracer c
-             ~attrs:[ ("words", string_of_int words) ]
-             "control.snapshot"));
-      Activermt.Table.reset_update_stats t.tables;
-      Telemetry.span_begin t.tel "control.table_update";
-      let phase =
-        match (t.mode, realloc_fids) with
-        | `Auto, _ | `Interactive, [] ->
-          List.iter
-            (fun f -> commit_app t ~fid:f)
-            realloc_fids;
-          commit_new_app t ~fid;
-          (match t.mode with
-          | `Auto -> List.iter (fun f -> copy_snapshot_to_new_region t ~fid:f) realloc_fids
-          | `Interactive -> ());
-          Committed
-        | `Interactive, impacted ->
-          List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
-          Activermt.Table.quiesce t.tables ~fid;
-          t.pending <-
-            Some { new_fid = fid; waiting = impacted; deadline_s = t.extraction_timeout_s };
-          Awaiting_extraction { impacted }
-      in
-      Telemetry.span_end t.tel (* control.table_update *);
       Telemetry.incr t.tel "control.provisions";
       Timeseries.add t.series "control.provisions";
       let stats = Activermt.Table.update_stats t.tables in
@@ -502,16 +547,12 @@ let drain_epoch_auto t slots =
         | Allocator.Rejected _ -> None)
       batch.Allocator.outcomes
   in
-  let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () ->
-        List.fold_left (fun acc f -> acc + take_snapshot t ~fid:f) 0 realloc_fids)
+  let words, () =
+    relocate t realloc_fids ~commit:(fun reinstall ->
+        reinstall ();
+        List.iter (fun f -> Activermt.Table.unquiesce t.tables ~fid:f) realloc_fids;
+        List.iter (fun f -> commit_new_app t ~fid:f) admitted_fids)
   in
-  Activermt.Table.reset_update_stats t.tables;
-  Telemetry.span_begin t.tel "control.table_update";
-  List.iter (fun f -> commit_app t ~fid:f) realloc_fids;
-  List.iter (fun f -> commit_new_app t ~fid:f) admitted_fids;
-  List.iter (fun f -> copy_snapshot_to_new_region t ~fid:f) realloc_fids;
-  Telemetry.span_end t.tel (* control.table_update *);
   let stats = Activermt.Table.update_stats t.tables in
   let entries =
     stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed
@@ -657,25 +698,15 @@ let handle_departure ?trace t ~fid =
     p.waiting <- List.filter (fun f -> f <> fid) p.waiting;
     finish_pending_if_done t
   | Some _ | None -> ());
-  Activermt.Table.reset_update_stats t.tables;
   Telemetry.incr t.tel "control.departures";
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let expanded =
     Telemetry.with_span t.tel "control.allocation" (fun () ->
         Allocator.depart ?trace:tctx t.allocator ~fid)
   in
-  let alloc_s = Sys.time () -. t0 in
+  let alloc_s = Unix.gettimeofday () -. t0 in
   let expanded_fids = List.map fst expanded in
-  let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () ->
-        List.fold_left (fun acc f -> acc + take_snapshot t ~fid:f) 0 expanded_fids)
-  in
-  Telemetry.with_span t.tel "control.table_update" (fun () ->
-      List.iter
-        (fun f ->
-          install_current t ~fid:f ~virtual_addressing:(virtual_of t f);
-          if t.mode = `Auto then copy_snapshot_to_new_region t ~fid:f)
-        expanded_fids);
+  let words, () = relocate t expanded_fids ~commit:(fun reinstall -> reinstall ()) in
   let stats = Activermt.Table.update_stats t.tables in
   let timing =
     Cost_model.breakdown t.cost ~allocation_s:alloc_s

@@ -140,7 +140,9 @@ val handle_departure :
   fid:Activermt.Packet.fid ->
   Cost_model.breakdown * Activermt.Packet.fid list
 (** Release a service's allocation; returns timing and the apps expanded
-    (reallocated) into the freed space. *)
+    (reallocated) into the freed space.  The timing's [allocation_s] is
+    the wall-clock time of {!Allocator.depart}, the same clock admissions
+    report. *)
 
 val complete_extraction : t -> fid:Activermt.Packet.fid -> unit
 (** Client signals (bare active packet with ack) that it finished
@@ -176,7 +178,11 @@ val regions_packet :
 val snapshot_of :
   t -> fid:Activermt.Packet.fid -> (int * Pool.range * int array) list
 (** Consistent snapshot (stage, old block range, words) taken for the FID
-    at its last reallocation; [] if none. *)
+    at its last reallocation, holding only the stages whose region that
+    reallocation changed in start word or length; [] if none.  Stages
+    that kept their region keep their contents in place and are not
+    copied.  The modeled {!Cost_model.breakdown} still charges the full
+    app's words, as the paper's controller snapshots the whole app. *)
 
 val read_region : t -> fid:Activermt.Packet.fid -> stage:int -> int array option
 (** Control-plane (BFRT-style) read of the app's current region. *)

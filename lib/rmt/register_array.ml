@@ -85,13 +85,29 @@ let zero_range t ~lo ~hi =
 
 let access_count t = t.accesses
 
+(* The copies below are loops over [t.data], which is statically an
+   [int array], so each store compiles to a plain write.  [Array.sub] and
+   [Array.blit] are polymorphic: on a major-heap array they go through
+   the write barrier ([caml_initialize]/[caml_modify]) for every word,
+   several times slower.  Indices are checked up front, so the loops use
+   unchecked accesses. *)
 let snapshot_range t ~lo ~hi =
   check t lo;
   check t hi;
-  Array.sub t.data lo (hi - lo + 1)
+  let data = t.data in
+  let out = Array.make (hi - lo + 1) 0 in
+  for i = 0 to hi - lo do
+    Array.unsafe_set out i (Array.unsafe_get data (lo + i))
+  done;
+  out
 
-let restore_range t ~lo values =
+let restore_range t ~lo ~len (values : int array) =
   check t lo;
-  if lo + Array.length values > Array.length t.data then
+  if len < 0 || len > Array.length values then
+    invalid_arg "Register_array.restore_range: length exceeds values";
+  if lo + len > Array.length t.data then
     invalid_arg "Register_array.restore_range: range exceeds array";
-  Array.blit values 0 t.data lo (Array.length values)
+  let data = t.data in
+  for i = 0 to len - 1 do
+    Array.unsafe_set data (lo + i) (Array.unsafe_get values i)
+  done

@@ -64,7 +64,12 @@ val access_count : t -> int
 (** Total data-plane accesses since creation. *)
 
 val snapshot_range : t -> lo:int -> hi:int -> int array
-(** Copy of the inclusive range, used for consistent snapshots during
-    reallocation (Section 4.3). *)
+(** Fresh copy of the inclusive range [lo..hi], used for consistent
+    snapshots during reallocation (Section 4.3).
+    @raise Invalid_argument if [lo] or [hi] is out of bounds. *)
 
-val restore_range : t -> lo:int -> int array -> unit
+val restore_range : t -> lo:int -> len:int -> int array -> unit
+(** [restore_range t ~lo ~len values] writes [values.(0 .. len-1)] to
+    words [lo .. lo+len-1]; words of [values] past [len] are ignored.
+    @raise Invalid_argument if [lo] is out of bounds, [len] is negative
+    or exceeds [values], or [lo + len] exceeds the array. *)

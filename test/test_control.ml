@@ -363,6 +363,196 @@ let test_drain_epoch_indices_monotonic () =
   Alcotest.(check (list unit)) "empty queue drains to nothing" []
     (List.map ignore (Controller.drain ctl))
 
+(* -- Relocation differential ------------------------------------------- *)
+
+(* Random Auto-mode sequences of sequential admissions, queued epochs and
+   departures on a small device.  Before each operation every resident's
+   regions get random words; after it, a reallocated app must keep the
+   first min(old, new) words of each stage, every other app must be
+   untouched word for word, the switch tables must match the allocator,
+   and the operation's modeled snapshot cost must charge the full regions
+   of every reallocated app. *)
+
+type reloc_op = Admit of int | Epoch of int list | Depart of int
+
+let reloc_params =
+  { Rmt.Params.default with Rmt.Params.words_per_stage = 4096; blocks_per_stage = 64 }
+
+let reloc_apps =
+  [|
+    cache;
+    hh;
+    Activermt_apps.Bloom.service;
+    Activermt_apps.Counter.service;
+    Activermt_apps.Cheetah_lb.service;
+  |]
+
+(* Stages moved (start word changed) and kept (same start word) across
+   every checked reallocation, so the property is seen to exercise both. *)
+let reloc_moved = ref 0
+let reloc_kept = ref 0
+
+let gen_reloc_case =
+  let open QCheck.Gen in
+  let app = int_bound (Array.length reloc_apps - 1) in
+  let op =
+    frequency
+      [
+        (4, map (fun a -> Admit a) app);
+        (2, map (fun l -> Epoch l) (list_size (int_range 1 4) app));
+        (3, map (fun i -> Depart i) nat);
+      ]
+  in
+  pair int (list_size (int_range 5 30) op)
+
+let print_reloc_case (seed, ops) =
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat "; "
+       (List.map
+          (function
+            | Admit a -> Printf.sprintf "admit %d" a
+            | Epoch l -> "epoch [" ^ String.concat "," (List.map string_of_int l) ^ "]"
+            | Depart i -> Printf.sprintf "depart #%d" i)
+          ops))
+
+let check_relocation policy (seed, ops) =
+  let rng = Random.State.make [| seed |] in
+  let ctl = Controller.create ~policy (Rmt.Device.create reloc_params) in
+  let tables = Controller.tables ctl in
+  let alloc = Controller.allocator ctl in
+  let next_fid = ref 1 in
+  let fresh_fid () =
+    let f = !next_fid in
+    incr next_fid;
+    f
+  in
+  let residents () = List.sort compare (Activermt_alloc.Allocator.resident alloc) in
+  let regions f = Option.get (Activermt.Table.regions_of tables ~fid:f) in
+  let fill f =
+    Array.iteri
+      (fun stage reg ->
+        match reg with
+        | None -> ()
+        | Some { Pkt.n_words; _ } ->
+          List.iter
+            (fun index ->
+              ignore
+                (Controller.write_region_word ctl ~fid:f ~stage ~index
+                   ~value:(1 + Random.State.int rng 0xFFFFFF)))
+            (0 :: (n_words - 1) :: List.init 6 (fun _ -> Random.State.int rng n_words)))
+      (regions f)
+  in
+  let contents f =
+    Array.mapi
+      (fun stage reg ->
+        Option.map (fun _ -> Option.get (Controller.read_region ctl ~fid:f ~stage)) reg)
+      (regions f)
+  in
+  let expect what cond = if not cond then QCheck.Test.fail_reportf "%s" what in
+  List.iter
+    (fun op ->
+      let before = residents () in
+      List.iter fill before;
+      let old = List.map (fun f -> (f, (regions f, contents f))) before in
+      let log_len = List.length (Controller.provision_log ctl) in
+      let reallocated =
+        match op with
+        | Admit a -> (
+          match Controller.handle_request ctl (request (fresh_fid ()) reloc_apps.(a)) with
+          | Ok p -> p.Controller.reallocated
+          | Error _ -> [])
+        | Epoch apps ->
+          List.iter
+            (fun a -> Controller.enqueue_request ctl (request (fresh_fid ()) reloc_apps.(a)))
+            apps;
+          List.concat_map
+            (fun e ->
+              List.concat_map
+                (function Ok p -> p.Controller.reallocated | Error _ -> [])
+                e.Controller.results)
+            (Controller.drain ctl)
+        | Depart i -> (
+          match before with
+          | [] -> []
+          | _ ->
+            snd
+              (Controller.handle_departure ctl
+                 ~fid:(List.nth before (i mod List.length before))))
+      in
+      let reallocated =
+        List.sort_uniq compare (List.filter (fun f -> List.mem_assoc f old) reallocated)
+      in
+      let after = residents () in
+      List.iter
+        (fun f ->
+          expect
+            (Printf.sprintf "fid %d: tables match the allocator" f)
+            (Activermt.Table.regions_of tables ~fid:f
+            = Activermt_alloc.Allocator.regions_response alloc ~fid:f))
+        after;
+      List.iter
+        (fun (f, (old_regions, old_contents)) ->
+          if List.mem f after then begin
+            let moved = List.mem f reallocated in
+            let new_regions = regions f in
+            let new_contents = contents f in
+            if not moved then
+              expect
+                (Printf.sprintf "fid %d: not reallocated, regions unchanged" f)
+                (new_regions = old_regions);
+            Array.iteri
+              (fun stage reg ->
+                match (reg, new_regions.(stage)) with
+                | Some (o : Pkt.region), Some (n : Pkt.region) ->
+                  if moved then
+                    if o.Pkt.start_word <> n.Pkt.start_word then incr reloc_moved
+                    else incr reloc_kept;
+                  let keep = min o.Pkt.n_words n.Pkt.n_words in
+                  let o_data = Option.get old_contents.(stage) in
+                  let n_data = Option.get new_contents.(stage) in
+                  expect
+                    (Printf.sprintf "fid %d stage %d: first %d words kept" f stage keep)
+                    (Array.sub o_data 0 keep = Array.sub n_data 0 keep);
+                  if not moved then
+                    expect
+                      (Printf.sprintf "fid %d stage %d: untouched" f stage)
+                      (o_data = n_data)
+                | _ -> ())
+              old_regions
+          end)
+        old;
+      let full_words =
+        List.fold_left
+          (fun acc f ->
+            Array.fold_left
+              (fun acc -> function Some r -> acc + r.Pkt.n_words | None -> acc)
+              acc
+              (fst (List.assoc f old)))
+          0 reallocated
+      in
+      match (op, List.filteri (fun i _ -> i >= log_len) (Controller.provision_log ctl)) with
+      | Depart _, [] when before = [] -> ()
+      | _, [ b ] ->
+        expect
+          (Printf.sprintf "snapshot_s charges %d words" full_words)
+          (b.Cost_model.snapshot_s
+          = float_of_int full_words *. Cost_model.default.Cost_model.snapshot_word_s)
+      | _ -> expect "one provision_log entry per operation" false)
+    ops;
+  true
+
+let relocation_property policy =
+  QCheck.Test.make ~count:40
+    ~name:
+      (Printf.sprintf "relocation keeps register state (%s)"
+         (Activermt_compiler.Mutant.policy_to_string policy))
+    (QCheck.make ~print:print_reloc_case gen_reloc_case)
+    (check_relocation policy)
+
+let test_relocation_exercised () =
+  Alcotest.(check bool) "some stages moved" true (!reloc_moved > 0);
+  Alcotest.(check bool) "some stages stayed in place" true (!reloc_kept > 0)
+
 let test_cost_model_breakdown () =
   let b =
     Cost_model.breakdown Cost_model.default ~allocation_s:0.01 ~entries_updated:100
@@ -399,6 +589,12 @@ let () =
           Alcotest.test_case "departure unblocks pending" `Quick
             test_departure_unblocks_pending;
           Alcotest.test_case "regions packet" `Quick test_regions_packet;
+          QCheck_alcotest.to_alcotest
+            (relocation_property Activermt_compiler.Mutant.Most_constrained);
+          QCheck_alcotest.to_alcotest
+            (relocation_property Activermt_compiler.Mutant.Least_constrained);
+          Alcotest.test_case "relocation property exercised" `Quick
+            test_relocation_exercised;
         ] );
       ( "provision queue",
         [

@@ -130,8 +130,54 @@ let test_regs_snapshot_restore () =
   let snap = R.snapshot_range r ~lo:2 ~hi:4 in
   Alcotest.(check (array int)) "snapshot" [| 20; 30; 40 |] snap;
   R.zero_range r ~lo:0 ~hi:7;
-  R.restore_range r ~lo:5 snap;
+  R.restore_range r ~lo:5 ~len:(Array.length snap) snap;
   Alcotest.(check int) "restored elsewhere" 30 (R.get r 6)
+
+let test_regs_snapshot_round_trip () =
+  let r = R.create ~words:16 in
+  for i = 0 to 15 do
+    R.set r i (1000 + i)
+  done;
+  let snap = R.snapshot_range r ~lo:3 ~hi:10 in
+  Alcotest.(check int) "inclusive length" 8 (Array.length snap);
+  R.set r 3 0;
+  Alcotest.(check int) "snapshot is a copy" 1003 snap.(0);
+  R.zero_range r ~lo:0 ~hi:15;
+  R.restore_range r ~lo:3 ~len:(Array.length snap) snap;
+  Alcotest.(check (list int)) "round trip"
+    (List.init 16 (fun i -> if i >= 3 && i <= 10 then 1000 + i else 0))
+    (List.init 16 (R.get r));
+  R.restore_range r ~lo:12 ~len:2 snap;
+  Alcotest.(check (list int)) "prefix only" [ 1003; 1004; 0; 0 ]
+    (List.init 4 (fun i -> R.get r (12 + i)));
+  R.restore_range r ~lo:15 ~len:0 snap;
+  R.restore_range r ~lo:0 ~len:0 [||];
+  Alcotest.(check int) "zero-length restore writes nothing" 0 (R.get r 15);
+  Alcotest.(check int) "accesses not counted" 0 (R.access_count r)
+
+let test_regs_snapshot_restore_bounds () =
+  let r = R.create ~words:8 in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  raises "snapshot lo < 0" (fun () -> ignore (R.snapshot_range r ~lo:(-1) ~hi:2));
+  raises "snapshot hi past end" (fun () -> ignore (R.snapshot_range r ~lo:0 ~hi:8));
+  raises "restore lo past end" (fun () -> R.restore_range r ~lo:8 ~len:0 [||]);
+  raises "restore lo < 0" (fun () -> R.restore_range r ~lo:(-1) ~len:1 [| 1 |]);
+  raises "restore len > values" (fun () -> R.restore_range r ~lo:0 ~len:3 [| 1; 2 |]);
+  raises "restore negative len" (fun () -> R.restore_range r ~lo:0 ~len:(-1) [| 1 |]);
+  Alcotest.check_raises "lo + len past end"
+    (Invalid_argument "Register_array.restore_range: range exceeds array")
+    (fun () -> R.restore_range r ~lo:6 ~len:3 [| 1; 2; 3 |]);
+  Alcotest.check_raises "index message"
+    (Invalid_argument "Register_array.access: index 8 out of bounds [0,8)")
+    (fun () -> ignore (R.snapshot_range r ~lo:2 ~hi:8));
+  Alcotest.(check (list int)) "failed restores wrote nothing" (List.init 8 (fun _ -> 0))
+    (List.init 8 (R.get r))
 
 (* -- Tcam ---------------------------------------------------------------- *)
 
@@ -295,6 +341,9 @@ let () =
           Alcotest.test_case "access count" `Quick test_regs_access_count;
           Alcotest.test_case "zero range" `Quick test_regs_zero_range;
           Alcotest.test_case "snapshot/restore" `Quick test_regs_snapshot_restore;
+          Alcotest.test_case "snapshot round trip" `Quick test_regs_snapshot_round_trip;
+          Alcotest.test_case "snapshot/restore bounds" `Quick
+            test_regs_snapshot_restore_bounds;
         ] );
       ( "tcam",
         [
