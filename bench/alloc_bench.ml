@@ -1,6 +1,6 @@
 (* Admit-throughput benchmark behind the allocation fast path
    (BENCH_alloc.json): replay pure and mixed arrival workloads against a
-   fresh allocator at 1 and N scoring domains and report arrivals/sec plus
+   fresh allocator and report arrivals/sec plus
    p50/p99 per-admit compute time.  The [baseline] block holds the numbers
    measured on the pre-fast-path sequential implementation (same machine,
    same seeded workloads, commit 2da735c) so the JSON always carries the
@@ -9,9 +9,7 @@
    Each configuration runs against its own telemetry registry, so the
    JSON also carries the per-phase span breakdown (alloc.snapshot /
    alloc.enumerate / alloc.score / alloc.fill) that attributes where the
-   admit time goes — in particular why multi-domain fan-out *hurts* the
-   mixed workload (Domain.spawn overhead on chunks too small to amortize
-   it; see docs/TELEMETRY.md).  CI diffs these records against
+   admit time goes.  CI diffs these records against
    bench/baseline_alloc.json via bench_compare.exe. *)
 
 module Allocator = Activermt_alloc.Allocator
@@ -43,9 +41,7 @@ let arrivals_of_trace trace =
     trace
 
 type run_stats = {
-  label : string;
   workload : string;
-  domains : int;
   arrivals : int;
   admitted : int;
   wall_s : float;
@@ -56,9 +52,9 @@ type run_stats = {
 
 let throughput s = float_of_int s.arrivals /. s.wall_s
 
-let measure ~label ~workload ~domains arrivals =
+let measure ~workload arrivals =
   let tel = Telemetry.create () in
-  let alloc = Allocator.create ~domains ~telemetry:tel params in
+  let alloc = Allocator.create ~telemetry:tel params in
   let times = ref [] in
   let admitted = ref 0 in
   let t0 = Unix.gettimeofday () in
@@ -71,12 +67,9 @@ let measure ~label ~workload ~domains arrivals =
       | Allocator.Rejected r -> times := r.Allocator.compute_time_s :: !times)
     arrivals;
   let wall_s = Unix.gettimeofday () -. t0 in
-  Allocator.shutdown alloc;
   let ms p = 1000.0 *. Stats.percentile !times p in
   {
-    label;
     workload;
-    domains;
     arrivals = List.length arrivals;
     admitted = !admitted;
     wall_s;
@@ -129,7 +122,6 @@ let json_of_stats s =
   Json.Obj
     [
       ("workload", Json.Str s.workload);
-      ("domains", Json.Num (float_of_int s.domains));
       ("arrivals", Json.Num (float_of_int s.arrivals));
       ("admitted", Json.Num (float_of_int s.admitted));
       ("arrivals_per_sec", Json.Num (Float.round (10.0 *. throughput s) /. 10.0));
@@ -146,9 +138,7 @@ let json_of_stats s =
    quantify what --trace-out costs.  The section is candidate-only, so
    bench_compare reports it as INFO rather than gating on it. *)
 let measure_traced ~tracer arrivals =
-  let alloc =
-    Allocator.create ~domains:1 ~telemetry:(Telemetry.create ()) ~tracer params
-  in
+  let alloc = Allocator.create ~telemetry:(Telemetry.create ()) ~tracer params in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (a : Allocator.arrival) ->
@@ -159,9 +149,7 @@ let measure_traced ~tracer arrivals =
       in
       ignore (Allocator.admit ?trace alloc a))
     arrivals;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Allocator.shutdown alloc;
-  wall_s
+  Unix.gettimeofday () -. t0
 
 (* A single 500-arrival replay finishes in tens of milliseconds, so one
    sample is dominated by scheduler noise; best-of-N isolates the real
@@ -192,7 +180,7 @@ let trace_section mixed =
   let tput t = Float.round (10.0 *. (float_of_int n /. t)) /. 10.0 in
   let overhead t = Float.round (1000.0 *. ((t -. t_off) /. t_off)) /. 10.0 in
   Printf.printf
-    "trace overhead (mixed/d1):  off %9.1f arrivals/s   1%% sampled %9.1f \
+    "trace overhead (mixed):  off %9.1f arrivals/s   1%% sampled %9.1f \
      (%+.1f%%)   full %9.1f (%+.1f%%)\n"
     (tput t_off) (tput t_sampled) (overhead t_sampled) (tput t_full)
     (overhead t_full);
@@ -207,7 +195,6 @@ let trace_section mixed =
   Json.Obj
     [
       ("workload", Json.Str "mixed");
-      ("domains", Json.Num 1.0);
       ("arrivals", Json.Num (float_of_int n));
       ("off_arrivals_per_sec", Json.Num (tput t_off));
       ("sampled_1pct", cfg t_sampled sampled);
@@ -231,7 +218,6 @@ let json_meta ~quick ~n =
     [
       ("git_commit", Json.Str (git_commit ()));
       ("ocaml_version", Json.Str Sys.ocaml_version);
-      ("recommended_domains", Json.Num (float_of_int (Domain.recommended_domain_count ())));
       ("quick", Json.Bool quick);
       ("arrivals_per_workload", Json.Num (float_of_int n));
     ]
@@ -248,7 +234,6 @@ let json_of_run ~quick ~n ~trace stats =
                Json.Obj
                  [
                    ("workload", Json.Str w);
-                   ("domains", Json.Num 1.0);
                    ("arrivals_per_sec", Json.Num tput);
                    ("p50_ms", Json.Num p50);
                    ("p99_ms", Json.Num p99);
@@ -257,31 +242,24 @@ let json_of_run ~quick ~n ~trace stats =
       ("fastpath", Json.Arr (List.map json_of_stats stats));
     ]
 
-(* Rewrite the file but carry over sections other bench entries own
-   (currently the fleet bench's "fleet" member), so running [alloc]
-   after [fleet] doesn't erase the fleet numbers. *)
+(* Rewrite the file but carry over every section other bench entries
+   own (fleet, chaos, churn, health, ...), so running [alloc] after them
+   doesn't erase their numbers. *)
 let write_json ~path json =
   let preserved =
     if Sys.file_exists path then begin
       let ic = open_in path in
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      match Json.of_string text with
-      | Ok old ->
-        List.filter_map
-          (fun key -> Option.map (fun v -> (key, v)) (Json.member key old))
-          [ "fleet"; "chaos"; "device"; "churn" ]
-      | Error _ -> []
+      match (Json.of_string text, json) with
+      | Ok (Json.Obj old), Json.Obj fields ->
+        List.filter (fun (k, _) -> not (List.mem_assoc k fields)) old
+      | _ -> []
     end
     else []
   in
   let json =
-    match (json, preserved) with
-    | Json.Obj fields, _ :: _ ->
-      Json.Obj
-        (List.filter (fun (k, _) -> not (List.mem_assoc k preserved)) fields
-        @ preserved)
-    | _ -> json
+    match json with Json.Obj fields -> Json.Obj (fields @ preserved) | _ -> json
   in
   let oc = open_out path in
   output_string oc (Json.to_string ~pretty:true json);
@@ -291,7 +269,7 @@ let write_json ~path json =
 let print_stats s =
   Printf.printf
     "%-24s %5d arrivals (%d admitted)  %9.1f arrivals/s  p50 %.3f ms  p99 %.3f ms\n"
-    s.label s.arrivals s.admitted (throughput s) s.p50_ms s.p99_ms;
+    s.workload s.arrivals s.admitted (throughput s) s.p50_ms s.p99_ms;
   List.iter
     (fun name ->
       match Telemetry.hist_summary s.tel name with
@@ -305,23 +283,14 @@ let print_stats s =
 
 let run ~quick =
   let n = if quick then 150 else 500 in
-  let n_domains = Stdx.Domain_pool.default_size () in
-  Printf.printf "== Allocation fast path: admit throughput (n=%d, N=%d domains) ==\n"
-    n n_domains;
+  Printf.printf "== Allocation fast path: admit throughput (n=%d) ==\n" n;
   let pure = arrivals_of_trace (pure_trace ~n) in
   let mixed = arrivals_of_trace (mixed_trace ~n) in
-  (* On a single-core box the recommended width is 1; still exercise the
-     fan-out path at width 2 so the JSON records its overhead honestly. *)
-  let fanout = if n_domains > 1 then n_domains else 2 in
-  let configs = [ (1, "d1"); (fanout, Printf.sprintf "d%d" fanout) ] in
   let stats =
-    List.concat_map
-      (fun (domains, tag) ->
-        [
-          measure ~label:("pure/" ^ tag) ~workload:"pure" ~domains pure;
-          measure ~label:("mixed/" ^ tag) ~workload:"mixed" ~domains mixed;
-        ])
-      configs
+    [
+      measure ~workload:"pure" pure;
+      measure ~workload:"mixed" mixed;
+    ]
   in
   List.iter print_stats stats;
   List.iter
@@ -329,13 +298,10 @@ let run ~quick =
       Printf.printf "%-24s (seed implementation)  %9.1f arrivals/s  p50 %.3f ms  p99 %.3f ms\n"
         (w ^ "/baseline") tput p50 p99)
     baseline;
-  (match
-     List.find_opt (fun s -> s.workload = "mixed" && s.domains = 1) stats
-   with
+  (match List.find_opt (fun s -> s.workload = "mixed") stats with
   | Some s ->
     let base = List.assoc "mixed" (List.map (fun (w, t, _, _) -> (w, t)) baseline) in
-    Printf.printf "mixed speedup vs seed baseline (1 domain): %.1fx\n"
-      (throughput s /. base)
+    Printf.printf "mixed speedup vs seed baseline: %.1fx\n" (throughput s /. base)
   | None -> ());
   let trace = trace_section mixed in
   write_json ~path:"BENCH_alloc.json" (json_of_run ~quick ~n ~trace stats);

@@ -5,15 +5,12 @@
 
      bench_compare.exe BASELINE CURRENT [--max-tput-drop 0.30] [--max-p99-growth 2.0]
 
-   Records are matched per workload at single-domain and fanned-out
-   configurations separately ("d1" vs "dN" — the fan-out width differs
-   across machines, so the multi-domain record matches whatever width the
-   current run used).  Wide default tolerances absorb runner-speed noise;
-   the gate exists to catch order-of-magnitude regressions, not 5%
-   jitter.
+   Records are matched per workload.  Wide default tolerances absorb
+   runner-speed noise; the gate exists to catch order-of-magnitude
+   regressions, not 5% jitter.
 
    Candidate-only material is informational, never a failure: fastpath
-   records with no matching baseline config and top-level sections the
+   records with no matching baseline workload and top-level sections the
    baseline lacks (e.g. a newly added "fleet" section) print as INFO
    lines, so new bench entries can land before the baseline is
    refreshed.  Only regressed or missing *common* entries gate. *)
@@ -33,7 +30,6 @@ let load path =
 
 type record = {
   workload : string;
-  domains : int;
   arrivals_per_sec : float;
   p99_ms : float;
 }
@@ -55,16 +51,11 @@ let records_of path json =
         in
         {
           workload;
-          domains = int_of_float (num "domains");
           arrivals_per_sec = num "arrivals_per_sec";
           p99_ms = num "p99_ms";
         })
       items
   | _ -> die "%s: no \"fastpath\" array" path
-
-(* d1 is comparable across machines; any width > 1 is "the fan-out
-   config" whatever the core count of the box that produced it. *)
-let config r = (r.workload, r.domains <= 1)
 
 (* The device section (interpreter vs JIT exec throughput).  Raw pkt/s
    moves with the runner, but the *speedup* is a ratio of two
@@ -452,11 +443,11 @@ let () =
   let failures = ref 0 in
   List.iter
     (fun b ->
-      match List.find_opt (fun c -> config c = config b) cur with
+      match List.find_opt (fun c -> c.workload = b.workload) cur with
       | None ->
         incr failures;
-        Printf.printf "MISSING  %-6s d%-2d  no matching record in %s\n" b.workload
-          b.domains cur_path
+        Printf.printf "MISSING  %-6s  no matching record in %s\n" b.workload
+          cur_path
       | Some c ->
         let tput_floor = (1.0 -. max_drop) *. b.arrivals_per_sec in
         let p99_ceil = max_growth *. b.p99_ms in
@@ -464,9 +455,9 @@ let () =
         let p99_ok = c.p99_ms <= p99_ceil in
         if not (tput_ok && p99_ok) then incr failures;
         Printf.printf
-          "%-7s  %-6s d%-2d  tput %9.1f -> %9.1f /s (floor %9.1f)  p99 %7.3f -> %7.3f ms (ceil %7.3f)\n"
+          "%-7s  %-6s  tput %9.1f -> %9.1f /s (floor %9.1f)  p99 %7.3f -> %7.3f ms (ceil %7.3f)\n"
           (if tput_ok && p99_ok then "OK" else "REGRESS")
-          b.workload b.domains b.arrivals_per_sec c.arrivals_per_sec tput_floor
+          b.workload b.arrivals_per_sec c.arrivals_per_sec tput_floor
           b.p99_ms c.p99_ms p99_ceil)
     base;
   compare_device ~max_drop ~failures base_json cur_json;
@@ -478,9 +469,9 @@ let () =
      know yet.  Report, don't gate. *)
   List.iter
     (fun c ->
-      if not (List.exists (fun b -> config b = config c) base) then
-        Printf.printf "INFO     %-6s d%-2d  new entry (no baseline): tput %9.1f /s  p99 %7.3f ms\n"
-          c.workload c.domains c.arrivals_per_sec c.p99_ms)
+      if not (List.exists (fun b -> b.workload = c.workload) base) then
+        Printf.printf "INFO     %-6s  new entry (no baseline): tput %9.1f /s  p99 %7.3f ms\n"
+          c.workload c.arrivals_per_sec c.p99_ms)
     cur;
   (match (Json.to_obj cur_json, Json.to_obj base_json) with
   | Some cur_fields, Some base_fields ->

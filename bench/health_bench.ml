@@ -60,9 +60,8 @@ let slos =
       ~good:"churn.admitted" ~total:"churn.offered" ~target:0.01 ();
   ]
 
-(* One timed run of the workload; [series] is noop for the disabled
-   side.  Sys.time would under-count the sharded recording path, so the
-   bench uses wall time like the fastpath records. *)
+(* One timed run of the workload in wall time, like the fastpath
+   records; [series] is noop for the disabled side. *)
 let timed ~series zcfg =
   let t0 = Unix.gettimeofday () in
   let r = Churn_pipeline.run ~params ~series ~seed zcfg in

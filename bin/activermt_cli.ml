@@ -165,7 +165,7 @@ and cmd_mutants path policy =
     mutants;
   if List.length mutants > 50 then print_endline "  ..."
 
-and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
+and cmd_allocsim spec_str mixed seed batch scheme policy no_jit
     metrics_out series_out trace_out trace_sample =
   (* allocsim exercises only the control plane; the flag is accepted for
      symmetry with the other sim commands and recorded in the metrics. *)
@@ -180,7 +180,7 @@ and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
      epochs rather than one flat bucket. *)
   let vclock = ref 0.0 in
   let series = make_series ~now:(fun () -> !vclock) series_out in
-  let alloc = Allocator.create ~scheme ~policy ~domains ~series ~tracer params in
+  let alloc = Allocator.create ~scheme ~policy ~series ~tracer params in
   let next_fid = ref 0 in
   let service_of = function
     | "cache" -> Some Activermt_apps.Cache.service
@@ -1326,9 +1326,17 @@ let trace_out_arg =
                 tracing is fully disabled and the run is bit-identical to \
                 an untraced build."))
 
+let unit_interval =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some v when v >= 0.0 && v <= 1.0 -> Ok v
+        | _ -> Error (`Msg (Printf.sprintf "expected a number in [0,1], got %S" s))),
+      fun fmt v -> Format.pp_print_float fmt v )
+
 let trace_sample_arg =
   Arg.value
-    (Arg.opt Arg.float 1.0
+    (Arg.opt unit_interval 1.0
        (Arg.info [ "trace-sample" ] ~docv:"RATE"
           ~doc:"Head-sampling probability in [0,1] for new traces \
                 (default 1 = keep everything).  Sampling is seeded and \
@@ -1343,14 +1351,6 @@ let positive_int =
           Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
         | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
       fun fmt v -> Format.pp_print_int fmt v )
-
-let domains_arg =
-  Arg.value
-    (Arg.opt positive_int 1
-       (Arg.info [ "domains" ] ~docv:"N"
-          ~doc:"Scoring fan-out width (>= 1): mutants are scored on $(docv) \
-                domains against a per-arrival occupancy snapshot; decisions \
-                are identical at any width."))
 
 let no_jit_arg =
   Arg.value
@@ -1388,7 +1388,7 @@ let allocsim_cmd =
   Cmd.v (Cmd.info "allocsim" ~doc:"replay arrivals against the allocator")
     Term.(
       const cmd_allocsim $ spec $ mixed_arg $ seed_arg $ batch_arg
-      $ scheme_arg $ policy_arg $ domains_arg $ no_jit_arg $ metrics_out_arg
+      $ scheme_arg $ policy_arg $ no_jit_arg $ metrics_out_arg
       $ series_out_arg $ trace_out_arg $ trace_sample_arg)
 
 let churnsim_cmd =

@@ -83,14 +83,13 @@ type t = {
       (* per-mutant merged (stages, demands) arrays are pure in (shape,
          demand) — batched admission reuses them across every epoch
          instead of rebuilding them per scored mutant *)
-  dpool : Stdx.Domain_pool.t;  (* fan-out width for mutant scoring *)
   tel : Telemetry.t;
   series : Timeseries.t;
   tracer : Trace.t;
 }
 
 let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
-    ?(mutant_limit = 4096) ?(domains = 1) ?(telemetry = Telemetry.default)
+    ?(mutant_limit = 4096) ?(telemetry = Telemetry.default)
     ?(series = Timeseries.noop) ?(tracer = Trace.noop) params =
   {
     params;
@@ -103,7 +102,6 @@ let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
     apps = Hashtbl.create 256;
     mutants_cache = Hashtbl.create 16;
     demand_arrays_cache = Hashtbl.create 32;
-    dpool = Stdx.Domain_pool.create ~size:domains ();
     tel = telemetry;
     series;
     tracer;
@@ -150,8 +148,6 @@ let demand_arrays_of t key ~demand_blocks (mutants : Mutant.t array) =
 let params t = t.params
 let scheme t = t.scheme
 let policy t = t.policy
-let domains t = Stdx.Domain_pool.size t.dpool
-let shutdown t = Stdx.Domain_pool.shutdown t.dpool
 let resident t = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.apps []
 let is_resident t ~fid = Hashtbl.mem t.apps fid
 
@@ -204,8 +200,7 @@ let max_apps_per_stage t =
 (* Per-admit snapshot of every pool's occupancy as flat int arrays
    (struct-of-arrays): O(stages) to build from the pools' O(1) counters,
    after which per-mutant feasibility and cost are pure array lookups with
-   zero allocation — safe to score from any number of domains because the
-   snapshot is never written during scoring. *)
+   zero allocation. *)
 type snapshot = {
   snap_fungible : int array;
   snap_slots : int array;  (* resident count per stage *)
@@ -336,39 +331,34 @@ let diff_reallocated t before =
         else None)
     before
 
-(* Score every mutant against the immutable snapshot; each index writes
-   only its own cells, so the fan-out is race-free and the reduce is
-   bit-identical at any pool size.  The reduce is deterministic: first-fit
-   takes the lowest feasible index; the cost schemes take the minimum cost
-   with ties to the lowest index — exactly the sequential fold over the
-   former scored list.  Pure in the snapshot, which is what makes results
-   memoizable across an epoch's arrivals. *)
+(* Score every mutant against the snapshot in one pass, returning the
+   feasible count and the chosen index.  First-fit takes the lowest
+   feasible index; the cost schemes take the minimum cost with ties to the
+   lowest index (strict [<]).  Pure in the snapshot, which is what makes
+   results memoizable across an epoch's arrivals. *)
 let score_mutants ?arrs t snap ~elastic ~demand_blocks (mutants : Mutant.t array) =
-  let considered = Array.length mutants in
   let max_apps = max_apps_per_stage t in
   let scheme = t.scheme in
   let total_blocks = t.params.Rmt.Params.blocks_per_stage in
-  let feas = Array.make (max considered 1) false in
-  let costs = Array.make (max considered 1) infinity in
-  Stdx.Domain_pool.parallel_for t.dpool ~n:considered ~f:(fun i ->
-      let stages, demands =
-        match arrs with
-        | Some a -> a.(i)
-        | None -> Mutant.demand_by_stage_arrays mutants.(i) ~demand_blocks
-      in
-      if feasible_snap snap ~max_apps ~elastic stages demands then begin
-        feas.(i) <- true;
-        costs.(i) <- cost_snap snap ~scheme ~total_blocks stages
-      end);
   let feasible_count = ref 0 in
   let best = ref (-1) in
-  for i = 0 to considered - 1 do
-    if feas.(i) then begin
+  let best_cost = ref infinity in
+  for i = 0 to Array.length mutants - 1 do
+    let stages, demands =
+      match arrs with
+      | Some a -> a.(i)
+      | None -> Mutant.demand_by_stage_arrays mutants.(i) ~demand_blocks
+    in
+    if feasible_snap snap ~max_apps ~elastic stages demands then begin
       incr feasible_count;
       match scheme with
       | First_fit -> if !best < 0 then best := i
       | Worst_fit | Best_fit | Min_realloc ->
-        if !best < 0 || costs.(i) < costs.(!best) then best := i
+        let c = cost_snap snap ~scheme ~total_blocks stages in
+        if !best < 0 || c < !best_cost then begin
+          best := i;
+          best_cost := c
+        end
     end
   done;
   (!feasible_count, !best)

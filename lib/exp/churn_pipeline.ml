@@ -199,7 +199,6 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
     end
   in
   Seq.iter process_epoch trace;
-  Allocator.shutdown alloc;
   let tts_ms = List.rev_map (fun s -> s *. 1000.0) !tts in
   let p50, p99, mx =
     match tts_ms with

@@ -1,112 +1,14 @@
-(* Metric cells live in per-domain shards (Stdx.Sharded): the hot path
-   writes the calling domain's cells without synchronization and readers
-   merge every shard, so recording stays allocation-cheap and race-free
-   under Stdx.Domain_pool fan-out. *)
-
-(* Log-bucketed histogram: bucket i covers [2^((i-origin)/sub),
-   2^((i-origin+1)/sub)), i.e. [sub] buckets per octave.  Percentiles are
-   read back as the bucket's geometric midpoint (relative error at most
-   2^(1/(2*sub)) - 1 ~= 4.4%) clamped to the exact observed min/max, so no
-   samples are ever stored. *)
-let sub_buckets = 8
-let n_buckets = 256
-let origin = 192 (* bucket index of value 1.0; floor covers ~6e-8 .. ~2e2 *)
-
-let bucket_of v =
-  if v <= 0.0 then 0
-  else begin
-    let i = origin + int_of_float (Float.floor (Float.log2 v *. float_of_int sub_buckets)) in
-    if i < 0 then 0 else if i >= n_buckets then n_buckets - 1 else i
-  end
-
-let bucket_mid i =
-  Float.pow 2.0 ((float_of_int (i - origin) +. 0.5) /. float_of_int sub_buckets)
-
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  h_buckets : int array;
-}
-
-let hist_make () =
-  {
-    h_count = 0;
-    h_sum = 0.0;
-    h_min = Float.infinity;
-    h_max = Float.neg_infinity;
-    h_buckets = Array.make n_buckets 0;
-  }
-
-let hist_record h v =
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
-  let b = h.h_buckets in
-  let i = bucket_of v in
-  b.(i) <- b.(i) + 1
-
-let hist_merge_into dst src =
-  dst.h_count <- dst.h_count + src.h_count;
-  dst.h_sum <- dst.h_sum +. src.h_sum;
-  if src.h_min < dst.h_min then dst.h_min <- src.h_min;
-  if src.h_max > dst.h_max then dst.h_max <- src.h_max;
-  for i = 0 to n_buckets - 1 do
-    dst.h_buckets.(i) <- dst.h_buckets.(i) + src.h_buckets.(i)
-  done
-
-let hist_percentile_of h p =
-  (* NaN would sail through both range tests below and silently return
-     the top bucket; reject it instead of guessing. *)
-  if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
-  if h.h_count = 0 then 0.0
-  else if p <= 0.0 then h.h_min
-  else if p >= 100.0 then h.h_max
-  else begin
-    let target =
-      Float.max 1.0 (Float.ceil (p /. 100.0 *. float_of_int h.h_count))
-    in
-    let cum = ref 0 in
-    let found = ref (n_buckets - 1) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue && !i < n_buckets do
-      cum := !cum + h.h_buckets.(!i);
-      if float_of_int !cum >= target then begin
-        found := !i;
-        continue := false
-      end;
-      i := !i + 1
-    done;
-    Float.min h.h_max (Float.max h.h_min (bucket_mid !found))
-  end
-
-type gauge = { mutable g_seq : int; mutable g_val : float }
-type cell = Counter of int ref | Gauge of gauge | Hist of hist
-
-type shard = {
-  cells : (string, cell) Hashtbl.t;
-  mutable stack : (string * float) list; (* open spans: name, start time *)
-}
+type cell = Counter of int ref | Gauge of float ref | Hist of Sketch.t
 
 type t = {
-  shards : shard Stdx.Sharded.t;
-  seq : int Atomic.t; (* global write order for gauge last-write-wins *)
+  cells : (string, cell) Hashtbl.t;
+  mutable stack : (string * float) list; (* open spans: name, start time *)
   now : unit -> float;
 }
 
 let create ?now () =
   let now = match now with Some f -> f | None -> Unix.gettimeofday in
-  {
-    shards =
-      Stdx.Sharded.create
-        ~init:(fun () -> { cells = Hashtbl.create 64; stack = [] })
-        ();
-    seq = Atomic.make 0;
-    now;
-  }
+  { cells = Hashtbl.create 64; stack = []; now }
 
 let default = create ()
 
@@ -114,82 +16,55 @@ let kind_error name got =
   invalid_arg
     (Printf.sprintf "Telemetry: metric %S already registered as a %s" name got)
 
-let my_shard t = Stdx.Sharded.get t.shards
-
 let incr t ?(by = 1) name =
-  let s = my_shard t in
-  match Hashtbl.find_opt s.cells name with
+  match Hashtbl.find_opt t.cells name with
   | Some (Counter r) -> r := !r + by
   | Some (Gauge _) -> kind_error name "gauge"
   | Some (Hist _) -> kind_error name "histogram"
-  | None -> Hashtbl.add s.cells name (Counter (ref by))
+  | None -> Hashtbl.add t.cells name (Counter (ref by))
 
 let set_gauge t name v =
-  let s = my_shard t in
-  let seq = Atomic.fetch_and_add t.seq 1 in
-  match Hashtbl.find_opt s.cells name with
-  | Some (Gauge g) ->
-    g.g_seq <- seq;
-    g.g_val <- v
+  match Hashtbl.find_opt t.cells name with
+  | Some (Gauge g) -> g := v
   | Some (Counter _) -> kind_error name "counter"
   | Some (Hist _) -> kind_error name "histogram"
-  | None -> Hashtbl.add s.cells name (Gauge { g_seq = seq; g_val = v })
+  | None -> Hashtbl.add t.cells name (Gauge (ref v))
 
 let observe t name v =
-  let s = my_shard t in
-  match Hashtbl.find_opt s.cells name with
-  | Some (Hist h) -> hist_record h v
+  match Hashtbl.find_opt t.cells name with
+  | Some (Hist h) -> Sketch.record h v
   | Some (Counter _) -> kind_error name "counter"
   | Some (Gauge _) -> kind_error name "gauge"
   | None ->
-    let h = hist_make () in
-    hist_record h v;
-    Hashtbl.add s.cells name (Hist h)
+    let h = Sketch.create () in
+    Sketch.record h v;
+    Hashtbl.add t.cells name (Hist h)
 
 (* -- Spans ---------------------------------------------------------------- *)
 
-let span_begin t name =
-  let s = my_shard t in
-  s.stack <- (name, t.now ()) :: s.stack
+let span_begin t name = t.stack <- (name, t.now ()) :: t.stack
 
 let span_end t =
-  let s = my_shard t in
-  match s.stack with
+  match t.stack with
   | [] -> invalid_arg "Telemetry.span_end: no open span"
   | (name, t0) :: rest ->
-    s.stack <- rest;
+    t.stack <- rest;
     observe t name (t.now () -. t0)
 
 let with_span t name f =
   span_begin t name;
   Fun.protect ~finally:(fun () -> span_end t) f
 
-(* -- Merged reads --------------------------------------------------------- *)
+(* -- Reads ---------------------------------------------------------------- *)
 
 let counter_value t name =
-  Stdx.Sharded.fold t.shards ~init:0 ~f:(fun acc s ->
-      match Hashtbl.find_opt s.cells name with
-      | Some (Counter r) -> acc + !r
-      | _ -> acc)
+  match Hashtbl.find_opt t.cells name with Some (Counter r) -> !r | _ -> 0
 
 let gauge_value t name =
-  Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
-      match Hashtbl.find_opt s.cells name with
-      | Some (Gauge g) -> (
-        match acc with
-        | Some (seq, _) when seq >= g.g_seq -> acc
-        | _ -> Some (g.g_seq, g.g_val))
-      | _ -> acc)
-  |> Option.map snd
+  match Hashtbl.find_opt t.cells name with Some (Gauge g) -> Some !g | _ -> None
 
-let merged_hist t name =
-  Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
-      match Hashtbl.find_opt s.cells name with
-      | Some (Hist h) ->
-        let dst = match acc with Some d -> d | None -> hist_make () in
-        hist_merge_into dst h;
-        Some dst
-      | _ -> acc)
+let hist_of t name =
+  match Hashtbl.find_opt t.cells name with Some (Hist h) -> Some h | _ -> None
 
 type hist_summary = {
   count : int;
@@ -202,52 +77,45 @@ type hist_summary = {
   p99 : float;
 }
 
-let summary_of_hist h =
+(* NaN would sail through both range tests of the sketch and silently
+   return the top bucket; reject it instead of guessing. *)
+let percentile_of h p =
+  if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
+  Sketch.quantile h (p /. 100.0)
+
+let summary_of_hist (h : Sketch.t) =
+  let empty = h.count = 0 in
   {
-    count = h.h_count;
-    sum = h.h_sum;
-    mean = (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count);
-    min = (if h.h_count = 0 then 0.0 else h.h_min);
-    max = (if h.h_count = 0 then 0.0 else h.h_max);
-    p50 = hist_percentile_of h 50.0;
-    p90 = hist_percentile_of h 90.0;
-    p99 = hist_percentile_of h 99.0;
+    count = h.count;
+    sum = h.sum;
+    mean = (if empty then 0.0 else h.sum /. float_of_int h.count);
+    min = (if empty then 0.0 else h.min);
+    max = (if empty then 0.0 else h.max);
+    p50 = percentile_of h 50.0;
+    p90 = percentile_of h 90.0;
+    p99 = percentile_of h 99.0;
   }
 
-let hist_summary t name = Option.map summary_of_hist (merged_hist t name)
+let hist_summary t name = Option.map summary_of_hist (hist_of t name)
 
 let hist_percentile t name p =
-  match merged_hist t name with
-  | None -> 0.0
-  | Some h -> hist_percentile_of h p
+  match hist_of t name with None -> 0.0 | Some h -> percentile_of h p
 
-let names_of_kind t ~keep =
-  let seen = Hashtbl.create 64 in
-  Stdx.Sharded.iter t.shards ~f:(fun s ->
-      Hashtbl.iter
-        (fun name cell -> if keep cell then Hashtbl.replace seen name ())
-        s.cells);
-  Hashtbl.fold (fun name () acc -> name :: acc) seen []
-  |> List.sort compare
+let sorted_cells t ~f =
+  Hashtbl.fold
+    (fun name cell acc -> match f cell with Some v -> (name, v) :: acc | None -> acc)
+    t.cells []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let counters t =
-  names_of_kind t ~keep:(function Counter _ -> true | _ -> false)
-  |> List.map (fun name -> (name, counter_value t name))
-
-let gauges t =
-  names_of_kind t ~keep:(function Gauge _ -> true | _ -> false)
-  |> List.filter_map (fun name ->
-         Option.map (fun v -> (name, v)) (gauge_value t name))
+let counters t = sorted_cells t ~f:(function Counter r -> Some !r | _ -> None)
+let gauges t = sorted_cells t ~f:(function Gauge g -> Some !g | _ -> None)
 
 let histograms t =
-  names_of_kind t ~keep:(function Hist _ -> true | _ -> false)
-  |> List.filter_map (fun name ->
-         Option.map (fun s -> (name, s)) (hist_summary t name))
+  sorted_cells t ~f:(function Hist h -> Some (summary_of_hist h) | _ -> None)
 
 let reset t =
-  Stdx.Sharded.iter t.shards ~f:(fun s ->
-      Hashtbl.reset s.cells;
-      s.stack <- [])
+  Hashtbl.reset t.cells;
+  t.stack <- []
 
 (* -- Dumps ---------------------------------------------------------------- *)
 

@@ -1,24 +1,18 @@
 (** Dependency-light metrics registry: counters, gauges, log-bucketed
     latency histograms, and span timers.
 
-    Recording is allocation-cheap (a domain-local lookup plus an in-place
-    cell update) and safe under [Stdx.Domain_pool] fan-out: every writing
-    domain gets its own shard and readers merge all shards, so no write
-    ever contends.  Merged totals are exact once the writing domains have
-    synchronized — [Domain_pool.parallel_for] returns only after every
-    worker signals completion under the pool's mutex, so recording inside
-    a fan-out and reading after it returns is exact.
+    One registry is one hash table written by one thread of control:
+    recording is a lookup plus an in-place cell update, and a gauge is a
+    plain last write.
 
-    Histograms store no samples: observations land in logarithmic
-    buckets (8 per octave) covering ~6e-8 .. ~2e2, so percentiles carry
-    at most ~4.4% relative error and are clamped to the exact observed
-    min/max.  Suitable for latencies in seconds; the exact [sum], [min],
-    [max] and [count] are tracked alongside.
+    Histograms are {!Sketch}es: no samples are stored, percentiles carry
+    at most ~4.4% relative error over [[2^-32, 2^32)] and are clamped to
+    the exact observed min/max.  The exact [sum], [min], [max] and
+    [count] are tracked alongside.
 
     Spans are sugar over histograms: [with_span t "alloc.score" f] times
     [f] and observes the elapsed seconds into histogram "alloc.score".
-    Spans nest per domain (a stack), and [with_span] records even when
-    [f] raises.
+    Spans nest (a stack), and [with_span] records even when [f] raises.
 
     Metric names are flat dot-separated strings (see docs/TELEMETRY.md
     for the taxonomy).  A name denotes one kind forever; re-using it as
@@ -45,14 +39,14 @@ val observe : t -> string -> float -> unit
 val span_begin : t -> string -> unit
 
 val span_end : t -> unit
-(** Close the innermost open span of the calling domain and observe its
-    elapsed seconds under the span's name.
+(** Close the innermost open span and observe its elapsed seconds under
+    the span's name.
     @raise Invalid_argument if no span is open. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [span_begin]/[span_end] around [f], exception-safe. *)
 
-(** {2 Merged reads} *)
+(** {2 Reads} *)
 
 type hist_summary = {
   count : int;
@@ -66,10 +60,10 @@ type hist_summary = {
 }
 
 val counter_value : t -> string -> int
-(** Sum over all shards; 0 if the counter was never incremented. *)
+(** 0 if the counter was never incremented. *)
 
 val gauge_value : t -> string -> float option
-(** Most recently set value across shards (global write order). *)
+(** The most recently set value. *)
 
 val hist_summary : t -> string -> hist_summary option
 (** [None] for an unknown name.  A single-observation histogram reports
@@ -85,14 +79,14 @@ val hist_percentile : t -> string -> float -> float
     @raise Invalid_argument if [p] is NaN. *)
 
 val counters : t -> (string * int) list
-(** All counters, merged, sorted by name.  Likewise [gauges] and
+(** All counters, sorted by name.  Likewise [gauges] and
     [histograms]. *)
 
 val gauges : t -> (string * float) list
 val histograms : t -> (string * hist_summary) list
 
 val reset : t -> unit
-(** Clear every shard.  Only call while no other domain is recording. *)
+(** Forget every metric and open span. *)
 
 (** {2 Dumps} *)
 

@@ -1,47 +1,22 @@
-(* Windowed time series: per-domain shards of (name -> ring of buckets),
-   bucketed on an injected virtual clock.  Mirrors Telemetry's sharding
-   (writes touch only the calling domain's shard; reads merge) and its
-   log-bucketed sketch, shrunk to 4 sub-buckets per octave — windows are
-   short-lived, so ~9% worst-case relative error per window is a fine
-   trade for 2x less memory per bucket. *)
-
-let sub_buckets = 4
-let n_sketch = 128
-let origin = 96 (* sketch index of value 1.0; covers ~6e-8 .. 2.5e2 *)
-
-let sketch_of v =
-  if v <= 0.0 then 0
-  else begin
-    let i =
-      origin + int_of_float (Float.floor (Float.log2 v *. float_of_int sub_buckets))
-    in
-    if i < 0 then 0 else if i >= n_sketch then n_sketch - 1 else i
-  end
-
-let sketch_mid i =
-  Float.pow 2.0 ((float_of_int (i - origin) +. 0.5) /. float_of_int sub_buckets)
+(* Windowed time series: name -> ring of buckets on an injected virtual
+   clock.  Each bucket is a Sketch; counter series bump only its count and
+   sum, so their bucket arrays are never allocated. *)
 
 type kind = Counter | Dist
 
 type bucket = {
   mutable b_index : int; (* virtual bucket index; -1 = empty slot *)
-  mutable b_count : int;
-  mutable b_sum : float;
-  mutable b_min : float;
-  mutable b_max : float;
-  b_sketch : int array; (* length 0 for counter series *)
+  b_sketch : Sketch.t;
 }
 
 type series = { s_kind : kind; s_ring : bucket array }
-
-type shard = { cells : (string, series) Hashtbl.t }
 
 type t = {
   live : bool;
   ts_bucket_s : float;
   ts_capacity : int;
   mutable clock : unit -> float;
-  shards : shard Stdx.Sharded.t;
+  cells : (string, series) Hashtbl.t;
 }
 
 let create ?(bucket_s = 1.0) ?(capacity = 128) ?(now = fun () -> 0.0) () =
@@ -52,7 +27,7 @@ let create ?(bucket_s = 1.0) ?(capacity = 128) ?(now = fun () -> 0.0) () =
     ts_bucket_s = bucket_s;
     ts_capacity = capacity;
     clock = now;
-    shards = Stdx.Sharded.create ~init:(fun () -> { cells = Hashtbl.create 64 }) ();
+    cells = Hashtbl.create 64;
   }
 
 let noop =
@@ -61,7 +36,7 @@ let noop =
     ts_bucket_s = 1.0;
     ts_capacity = 1;
     clock = (fun () -> 0.0);
-    shards = Stdx.Sharded.create ~init:(fun () -> { cells = Hashtbl.create 1 }) ();
+    cells = Hashtbl.create 1;
   }
 
 let enabled t = t.live
@@ -70,24 +45,10 @@ let bucket_s t = t.ts_bucket_s
 let capacity t = t.ts_capacity
 let now t = t.clock ()
 
-let bucket_make dim =
-  {
-    b_index = -1;
-    b_count = 0;
-    b_sum = 0.0;
-    b_min = Float.infinity;
-    b_max = Float.neg_infinity;
-    b_sketch = Array.make dim 0;
-  }
-
-let series_make kind capacity =
-  let dim = match kind with Counter -> 0 | Dist -> n_sketch in
-  { s_kind = kind; s_ring = Array.init capacity (fun _ -> bucket_make dim) }
-
 let kind_name = function Counter -> "counter" | Dist -> "dist"
 
-let find_series t shard kind name =
-  match Hashtbl.find_opt shard.cells name with
+let find_series t kind name =
+  match Hashtbl.find_opt t.cells name with
   | Some s ->
     if s.s_kind <> kind then
       invalid_arg
@@ -95,53 +56,46 @@ let find_series t shard kind name =
            (kind_name s.s_kind) (kind_name kind));
     s
   | None ->
-    let s = series_make kind t.ts_capacity in
-    Hashtbl.add shard.cells name s;
+    let s =
+      {
+        s_kind = kind;
+        s_ring =
+          Array.init t.ts_capacity (fun _ ->
+              { b_index = -1; b_sketch = Sketch.create () });
+      }
+    in
+    Hashtbl.add t.cells name s;
     s
 
 let index_of t tm =
   let i = int_of_float (Float.floor (tm /. t.ts_bucket_s)) in
   if i < 0 then 0 else i
 
-(* Claim the ring slot for virtual bucket [idx], evicting whatever older
-   window occupied it. *)
+(* The sketch of virtual bucket [idx], evicting whatever older window
+   occupied its ring slot. *)
 let slot_for s ~idx =
   let b = s.s_ring.(idx mod Array.length s.s_ring) in
   if b.b_index <> idx then begin
     b.b_index <- idx;
-    b.b_count <- 0;
-    b.b_sum <- 0.0;
-    b.b_min <- Float.infinity;
-    b.b_max <- Float.neg_infinity;
-    Array.fill b.b_sketch 0 (Array.length b.b_sketch) 0
+    Sketch.clear b.b_sketch
   end;
-  b
+  b.b_sketch
 
 let add t ?t:tm ?(by = 1.0) name =
   if t.live then begin
     let tm = match tm with Some x -> x | None -> t.clock () in
-    let shard = Stdx.Sharded.get t.shards in
-    let s = find_series t shard Counter name in
-    let b = slot_for s ~idx:(index_of t tm) in
-    b.b_count <- b.b_count + 1;
-    b.b_sum <- b.b_sum +. by
+    let sk = slot_for (find_series t Counter name) ~idx:(index_of t tm) in
+    sk.count <- sk.count + 1;
+    sk.sum <- sk.sum +. by
   end
 
 let observe t ?t:tm name v =
   if t.live then begin
     let tm = match tm with Some x -> x | None -> t.clock () in
-    let shard = Stdx.Sharded.get t.shards in
-    let s = find_series t shard Dist name in
-    let b = slot_for s ~idx:(index_of t tm) in
-    b.b_count <- b.b_count + 1;
-    b.b_sum <- b.b_sum +. v;
-    if v < b.b_min then b.b_min <- v;
-    if v > b.b_max then b.b_max <- v;
-    let i = sketch_of v in
-    b.b_sketch.(i) <- b.b_sketch.(i) + 1
+    Sketch.record (slot_for (find_series t Dist name) ~idx:(index_of t tm)) v
   end
 
-(* ---------- merged reads ---------- *)
+(* ---------- reads ---------- *)
 
 type window = {
   w_index : int;
@@ -154,113 +108,45 @@ type window = {
   w_p99 : float;
 }
 
-type merged = {
-  mutable m_count : int;
-  mutable m_sum : float;
-  mutable m_min : float;
-  mutable m_max : float;
-  m_sketch : int array;
-}
+(* The kind of a series and its occupied (index, sketch) windows in
+   ascending index order.  Ring slots hold distinct residues mod
+   [capacity], so at most [capacity] windows come back. *)
+let series_windows t name =
+  match Hashtbl.find_opt t.cells name with
+  | None -> (None, [])
+  | Some s ->
+    let ws =
+      Array.fold_left
+        (fun acc b -> if b.b_index >= 0 then (b.b_index, b.b_sketch) :: acc else acc)
+        [] s.s_ring
+    in
+    (Some s.s_kind, List.sort (fun (a, _) (b, _) -> compare a b) ws)
 
-let merged_make () =
-  {
-    m_count = 0;
-    m_sum = 0.0;
-    m_min = Float.infinity;
-    m_max = Float.neg_infinity;
-    m_sketch = Array.make n_sketch 0;
-  }
-
-let merge_bucket_into m (b : bucket) =
-  m.m_count <- m.m_count + b.b_count;
-  m.m_sum <- m.m_sum +. b.b_sum;
-  if b.b_min < m.m_min then m.m_min <- b.b_min;
-  if b.b_max > m.m_max then m.m_max <- b.b_max;
-  Array.iteri (fun i n -> if n > 0 then m.m_sketch.(i) <- m.m_sketch.(i) + n) b.b_sketch
-
-let sketch_quantile m q =
-  if m.m_count = 0 then 0.0
-  else if q <= 0.0 then m.m_min
-  else if q >= 1.0 then m.m_max
-  else begin
-    let target = Float.max 1.0 (Float.ceil (q *. float_of_int m.m_count)) in
-    let cum = ref 0 in
-    let found = ref (n_sketch - 1) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue && !i < n_sketch do
-      cum := !cum + m.m_sketch.(!i);
-      if float_of_int !cum >= target then begin
-        found := !i;
-        continue := false
-      end;
-      incr i
-    done;
-    Float.min m.m_max (Float.max m.m_min (sketch_mid !found))
-  end
-
-(* All (index -> merged bucket) pairs of a series across shards, plus its
-   kind; newest [capacity] indices only, ascending. *)
-let merged_windows t name =
-  let kind = ref None in
-  let by_index : (int, merged) Hashtbl.t = Hashtbl.create 64 in
-  Stdx.Sharded.iter t.shards ~f:(fun shard ->
-      match Hashtbl.find_opt shard.cells name with
-      | None -> ()
-      | Some s ->
-        (kind := match !kind with None -> Some s.s_kind | k -> k);
-        Array.iter
-          (fun b ->
-            if b.b_index >= 0 then begin
-              let m =
-                match Hashtbl.find_opt by_index b.b_index with
-                | Some m -> m
-                | None ->
-                  let m = merged_make () in
-                  Hashtbl.add by_index b.b_index m;
-                  m
-              in
-              merge_bucket_into m b
-            end)
-          s.s_ring);
-  let idxs = Hashtbl.fold (fun i _ acc -> i :: acc) by_index [] in
-  let idxs = List.sort compare idxs in
-  let n = List.length idxs in
-  let idxs = if n > t.ts_capacity then List.filteri (fun i _ -> i >= n - t.ts_capacity) idxs else idxs in
-  (!kind, List.map (fun i -> (i, Hashtbl.find by_index i)) idxs)
-
-let window_of_merged kind (idx, m) =
-  let dist = kind = Some Dist && m.m_count > 0 in
+let window_of kind (idx, (sk : Sketch.t)) =
+  let dist = kind = Some Dist && sk.count > 0 in
   {
     w_index = idx;
-    w_count = m.m_count;
-    w_sum = m.m_sum;
-    w_min = (if dist then m.m_min else 0.0);
-    w_max = (if dist then m.m_max else 0.0);
-    w_p50 = (if dist then sketch_quantile m 0.50 else 0.0);
-    w_p90 = (if dist then sketch_quantile m 0.90 else 0.0);
-    w_p99 = (if dist then sketch_quantile m 0.99 else 0.0);
+    w_count = sk.count;
+    w_sum = sk.sum;
+    w_min = (if dist then sk.min else 0.0);
+    w_max = (if dist then sk.max else 0.0);
+    w_p50 = (if dist then Sketch.quantile sk 0.50 else 0.0);
+    w_p90 = (if dist then Sketch.quantile sk 0.90 else 0.0);
+    w_p99 = (if dist then Sketch.quantile sk 0.99 else 0.0);
   }
 
 let windows t name =
-  let kind, ws = merged_windows t name in
-  List.map (window_of_merged kind) ws
+  let kind, ws = series_windows t name in
+  List.map (window_of kind) ws
 
 let kind_of t name =
-  Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc shard ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-        match Hashtbl.find_opt shard.cells name with
-        | Some { s_kind = Counter; _ } -> Some `Counter
-        | Some { s_kind = Dist; _ } -> Some `Dist
-        | None -> None))
+  match Hashtbl.find_opt t.cells name with
+  | Some { s_kind = Counter; _ } -> Some `Counter
+  | Some { s_kind = Dist; _ } -> Some `Dist
+  | None -> None
 
 let names t =
-  let set = Hashtbl.create 64 in
-  Stdx.Sharded.iter t.shards ~f:(fun shard ->
-      Hashtbl.iter (fun name _ -> Hashtbl.replace set name ()) shard.cells);
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
+  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.cells [])
 
 type agg = {
   a_count : int;
@@ -273,85 +159,39 @@ type agg = {
   a_windows : int;
 }
 
-let zero_agg =
-  {
-    a_count = 0;
-    a_sum = 0.0;
-    a_min = 0.0;
-    a_max = 0.0;
-    a_p50 = 0.0;
-    a_p90 = 0.0;
-    a_p99 = 0.0;
-    a_windows = 0;
-  }
-
-let aggregate ?last t name =
-  let kind, ws = merged_windows t name in
+(* The newest [last] windows (default: all) merged into one sketch. *)
+let merged ?last t name =
+  let kind, ws = series_windows t name in
   let ws =
     match last with
     | None -> ws
     | Some k ->
-      if k <= 0 then []
-      else begin
-        let n = List.length ws in
-        if n > k then List.filteri (fun i _ -> i >= n - k) ws else ws
-      end
+      let n = List.length ws in
+      List.filteri (fun i _ -> i >= n - k) ws
   in
-  if ws = [] then zero_agg
-  else begin
-    let m = merged_make () in
-    List.iter
-      (fun (_, w) ->
-        m.m_count <- m.m_count + w.m_count;
-        m.m_sum <- m.m_sum +. w.m_sum;
-        if w.m_min < m.m_min then m.m_min <- w.m_min;
-        if w.m_max > m.m_max then m.m_max <- w.m_max;
-        Array.iteri
-          (fun i n -> if n > 0 then m.m_sketch.(i) <- m.m_sketch.(i) + n)
-          w.m_sketch)
-      ws;
-    let dist = kind = Some Dist && m.m_count > 0 in
-    {
-      a_count = m.m_count;
-      a_sum = m.m_sum;
-      a_min = (if dist then m.m_min else 0.0);
-      a_max = (if dist then m.m_max else 0.0);
-      a_p50 = (if dist then sketch_quantile m 0.50 else 0.0);
-      a_p90 = (if dist then sketch_quantile m 0.90 else 0.0);
-      a_p99 = (if dist then sketch_quantile m 0.99 else 0.0);
-      a_windows = List.length ws;
-    }
-  end
+  let m = Sketch.create () in
+  List.iter (fun (_, sk) -> Sketch.merge_into ~into:m sk) ws;
+  (kind, m, List.length ws)
+
+let aggregate ?last t name =
+  let kind, m, n = merged ?last t name in
+  let w = window_of kind (0, m) in
+  {
+    a_count = w.w_count;
+    a_sum = w.w_sum;
+    a_min = w.w_min;
+    a_max = w.w_max;
+    a_p50 = w.w_p50;
+    a_p90 = w.w_p90;
+    a_p99 = w.w_p99;
+    a_windows = n;
+  }
 
 let quantile ?last t name q =
   if Float.is_nan q || q < 0.0 || q > 1.0 then
     invalid_arg "Timeseries.quantile: q outside [0, 1]";
-  let kind, ws = merged_windows t name in
-  let ws =
-    match last with
-    | None -> ws
-    | Some k ->
-      if k <= 0 then []
-      else begin
-        let n = List.length ws in
-        if n > k then List.filteri (fun i _ -> i >= n - k) ws else ws
-      end
-  in
-  ignore kind;
-  if ws = [] then 0.0
-  else begin
-    let m = merged_make () in
-    List.iter (fun (_, w) ->
-        m.m_count <- m.m_count + w.m_count;
-        m.m_sum <- m.m_sum +. w.m_sum;
-        if w.m_min < m.m_min then m.m_min <- w.m_min;
-        if w.m_max > m.m_max then m.m_max <- w.m_max;
-        Array.iteri
-          (fun i n -> if n > 0 then m.m_sketch.(i) <- m.m_sketch.(i) + n)
-          w.m_sketch)
-      ws;
-    sketch_quantile m q
-  end
+  let _, m, _ = merged ?last t name in
+  Sketch.quantile m q
 
 (* ---------- deterministic JSON ---------- *)
 
@@ -359,10 +199,10 @@ let json_of t =
   let series =
     List.map
       (fun name ->
-        let kind, ws = merged_windows t name in
+        let kind, ws = series_windows t name in
         let kind = match kind with Some k -> k | None -> Counter in
         let window_json w =
-          let w = window_of_merged (Some kind) w in
+          let w = window_of (Some kind) w in
           let base =
             [
               ("index", Json.Num (float_of_int w.w_index));

@@ -3,15 +3,11 @@
     Where {!Telemetry} answers "what happened over the whole run", a
     series registry answers "what happened {e when}": every metric is a
     fixed-capacity ring of virtual-clock buckets, each holding
-    count/sum/min/max plus a small log-bucketed percentile sketch (the
-    same scheme as {!Telemetry} histograms).  The clock is injected —
+    count/sum/min/max plus a {!Sketch} (the same percentile sketch as
+    {!Telemetry} histograms).  The clock is injected —
     simulations pass their engine or modeled clock, never wall time — so
     same-seed replays produce byte-identical series and byte-identical
     JSON dumps.
-
-    Recording is sharded per domain exactly like {!Telemetry} (lock-free
-    writes into the calling domain's shard, exact merge on read), so a
-    registry can be fed from inside [Stdx.Domain_pool] fan-out.
 
     Two series kinds, determined by first use and sticky thereafter:
     - {b counter} series ([add]) accumulate count/sum per bucket;
@@ -58,10 +54,7 @@ val observe : t -> ?t:float -> string -> float -> unit
 (** Record one sample of a distribution series in the bucket covering
     [t] (default: the registry clock). *)
 
-(** {1 Merged reads}
-
-    Reads merge all shards; counts are exact after the writing domains
-    have quiesced (e.g. post [Domain_pool] join), same as {!Telemetry}. *)
+(** {1 Reads} *)
 
 type window = {
   w_index : int;  (** bucket index: [floor (t / bucket_s)] *)
@@ -81,10 +74,8 @@ val kind_of : t -> string -> [ `Counter | `Dist ] option
 (** The kind a series was first used as; [None] if unknown. *)
 
 val windows : t -> string -> window list
-(** The retained windows of a series, ascending [w_index], merged across
-    shards; [[]] if the name is unknown.  At most [capacity] windows
-    (per-shard rings are merged by index, and only the newest [capacity]
-    distinct indices are kept). *)
+(** The retained windows of a series, ascending [w_index]; [[]] if the
+    name is unknown.  At most [capacity] windows. *)
 
 type agg = {
   a_count : int;

@@ -65,6 +65,35 @@ let test_ts_dist_stats () =
     (Invalid_argument "Timeseries.quantile: q outside [0, 1]") (fun () ->
       ignore (Timeseries.quantile ts "d" 1.5))
 
+(* Window percentiles stay within the sketch's error of a sorted-sample
+   oracle for raw counts in the thousands (e.g. queue depths) and for
+   values below 2^-24 — neither end saturates.  Multiplicities keep the
+   oracle's rank interpolation between equal neighbours. *)
+let test_ts_no_saturation () =
+  let samples =
+    List.init 600 (fun _ -> 1e-9)
+    @ List.concat_map (fun v -> List.init 100 (fun _ -> v))
+        [ 100.0; 500.0; 1000.0; 2000.0; 4000.0 ]
+  in
+  let ts = Timeseries.create ~bucket_s:1.0 ~capacity:8 () in
+  List.iter (Timeseries.observe ts ~t:0.5 "d") samples;
+  let w = List.hd (Timeseries.windows ts "d") in
+  List.iter
+    (fun (p, window_p, q) ->
+      let oracle = Stdx.Stats.percentile samples p in
+      List.iter
+        (fun (what, got) ->
+          let rel = Float.abs (got -. oracle) /. oracle in
+          if rel > 0.10 then
+            Alcotest.failf "%s p%.0f: %.6g vs oracle %.6g (%.1f%% off)" what p
+              got oracle (100.0 *. rel))
+        [ ("window", window_p); ("quantile", Timeseries.quantile ts "d" q) ])
+    [
+      (50.0, w.Timeseries.w_p50, 0.50);
+      (90.0, w.Timeseries.w_p90, 0.90);
+      (99.0, w.Timeseries.w_p99, 0.99);
+    ]
+
 let test_ts_kind_mismatch () =
   let ts = Timeseries.create () in
   Timeseries.add ts "c";
@@ -307,6 +336,7 @@ let () =
           Alcotest.test_case "bucketing" `Quick test_ts_bucketing;
           Alcotest.test_case "ring eviction" `Quick test_ts_ring_eviction;
           Alcotest.test_case "dist stats" `Quick test_ts_dist_stats;
+          Alcotest.test_case "no saturation" `Quick test_ts_no_saturation;
           Alcotest.test_case "kind mismatch" `Quick test_ts_kind_mismatch;
           Alcotest.test_case "noop registry" `Quick test_ts_noop;
           Alcotest.test_case "json roundtrip + determinism" `Quick

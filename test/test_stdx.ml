@@ -222,102 +222,6 @@ let test_boxplot () =
     && b.Stdx.Stats.q2 <= b.Stdx.Stats.q3
     && b.Stdx.Stats.q3 <= b.Stdx.Stats.whisker_hi)
 
-(* -- Domain_pool --------------------------------------------------------- *)
-
-let test_dpool_sequential () =
-  let p = Stdx.Domain_pool.create ~size:1 () in
-  let arr = Array.init 100 Fun.id in
-  Alcotest.(check (array int)) "map doubles" (Array.map (fun x -> 2 * x) arr)
-    (Stdx.Domain_pool.map p ~f:(fun x -> 2 * x) arr)
-
-let test_dpool_map_large () =
-  (* Big enough to clear the spawn threshold, so domains really fan out. *)
-  let p = Stdx.Domain_pool.create ~size:2 () in
-  let arr = Array.init 3000 Fun.id in
-  Alcotest.(check (array int)) "map squares" (Array.map (fun x -> x * x) arr)
-    (Stdx.Domain_pool.map p ~f:(fun x -> x * x) arr)
-
-let test_dpool_coverage () =
-  let p = Stdx.Domain_pool.create ~size:3 () in
-  let n = 2000 in
-  let hits = Array.make n 0 in
-  (* Each index is written by exactly one domain, so no synchronization
-     is needed for the increments. *)
-  Stdx.Domain_pool.parallel_for p ~n ~f:(fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check bool) "every index exactly once" true
-    (Array.for_all (fun h -> h = 1) hits)
-
-let test_dpool_size_clamp () =
-  Alcotest.(check int) "clamped to 1" 1
-    (Stdx.Domain_pool.size (Stdx.Domain_pool.create ~size:0 ()));
-  Alcotest.(check bool) "default >= 1" true
-    (Stdx.Domain_pool.size (Stdx.Domain_pool.create ()) >= 1)
-
-let test_dpool_empty () =
-  let p = Stdx.Domain_pool.create ~size:4 () in
-  Alcotest.(check (array int)) "empty map" [||]
-    (Stdx.Domain_pool.map p ~f:(fun x -> x) [||]);
-  Stdx.Domain_pool.parallel_for p ~n:0 ~f:(fun _ -> Alcotest.fail "no indices")
-
-let prop_dpool_map_any_size =
-  QCheck.Test.make ~name:"map = Array.map at any pool size and length" ~count:50
-    QCheck.(pair (int_range 1 6) (int_range 0 700))
-    (fun (size, n) ->
-      let p = Stdx.Domain_pool.create ~size () in
-      let arr = Array.init n (fun i -> i * 3) in
-      let ok =
-        Stdx.Domain_pool.map p ~f:(fun x -> x + 1) arr = Array.map (fun x -> x + 1) arr
-      in
-      (* Workers are persistent; reap them so 50 trials do not pile up
-         parked domains against the runtime limit. *)
-      Stdx.Domain_pool.shutdown p;
-      ok)
-
-let test_dpool_shutdown () =
-  let p = Stdx.Domain_pool.create ~size:3 () in
-  let arr = Array.init 2000 Fun.id in
-  Alcotest.(check (array int)) "fan-out works" (Array.map succ arr)
-    (Stdx.Domain_pool.map p ~f:succ arr);
-  Stdx.Domain_pool.shutdown p;
-  Stdx.Domain_pool.shutdown p;
-  (* After shutdown the pool degrades to the sequential path. *)
-  Alcotest.(check (array int)) "sequential after shutdown" (Array.map succ arr)
-    (Stdx.Domain_pool.map p ~f:succ arr)
-
-let test_dpool_reuse_across_calls () =
-  (* The same parked workers serve many generations. *)
-  let p = Stdx.Domain_pool.create ~size:3 () in
-  let n = 1500 in
-  let acc = Array.make n 0 in
-  for _ = 1 to 5 do
-    Stdx.Domain_pool.parallel_for p ~n ~f:(fun i -> acc.(i) <- acc.(i) + 1)
-  done;
-  Stdx.Domain_pool.shutdown p;
-  Alcotest.(check bool) "every index five times" true
-    (Array.for_all (fun h -> h = 5) acc)
-
-(* -- Sharded ------------------------------------------------------------- *)
-
-let test_sharded_same_shard_within_domain () =
-  let s = Stdx.Sharded.create ~init:(fun () -> ref 0) () in
-  let a = Stdx.Sharded.get s in
-  incr a;
-  let b = Stdx.Sharded.get s in
-  Alcotest.(check bool) "same shard" true (a == b);
-  Alcotest.(check int) "one shard registered" 1 (Stdx.Sharded.n_shards s)
-
-let test_sharded_fold_after_join () =
-  let s = Stdx.Sharded.create ~init:(fun () -> ref 0) () in
-  let pool = Stdx.Domain_pool.create ~size:3 () in
-  let n = 3000 in
-  (* Each worker bumps its own shard; the pool joins its domains before
-     returning, so the fold below sees every increment. *)
-  Stdx.Domain_pool.parallel_for pool ~n ~f:(fun _ ->
-      let r = Stdx.Sharded.get s in
-      incr r);
-  Alcotest.(check int) "all increments merged" n
-    (Stdx.Sharded.fold s ~init:0 ~f:(fun acc r -> acc + !r))
-
 let () =
   Alcotest.run "stdx"
     [
@@ -350,23 +254,6 @@ let () =
           Alcotest.test_case "formula" `Quick test_ewma_formula;
           Alcotest.test_case "invalid alpha" `Quick test_ewma_invalid_alpha;
           Alcotest.test_case "smooth length" `Quick test_ewma_smooth_length;
-        ] );
-      ( "domain_pool",
-        [
-          Alcotest.test_case "sequential fallback" `Quick test_dpool_sequential;
-          Alcotest.test_case "map = Array.map (spawning)" `Quick test_dpool_map_large;
-          Alcotest.test_case "covers every index once" `Quick test_dpool_coverage;
-          Alcotest.test_case "size clamped" `Quick test_dpool_size_clamp;
-          Alcotest.test_case "empty input" `Quick test_dpool_empty;
-          Alcotest.test_case "shutdown" `Quick test_dpool_shutdown;
-          Alcotest.test_case "reuse across calls" `Quick test_dpool_reuse_across_calls;
-          QCheck_alcotest.to_alcotest prop_dpool_map_any_size;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "stable shard per domain" `Quick
-            test_sharded_same_shard_within_domain;
-          Alcotest.test_case "fold after join" `Quick test_sharded_fold_after_join;
         ] );
       ( "stats",
         [

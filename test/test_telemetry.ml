@@ -1,8 +1,6 @@
 (* Unit and property tests for the telemetry subsystem: counters, gauges,
    log-bucketed histograms (accuracy vs a sorted-sample oracle), span
-   timers, JSON round-trips, and the qcheck property that sharded
-   recording under N domains merges to the same totals as sequential
-   recording. *)
+   timers and JSON round-trips. *)
 
 module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
@@ -87,6 +85,17 @@ let test_hist_uniform () =
   let rng = Stdx.Prng.create ~seed:7 in
   let samples = List.init 5000 (fun _ -> 1e-5 +. Stdx.Prng.float rng 0.01) in
   hist_accuracy_check ~name:"uniform latencies" samples
+
+(* Counts in the thousands and values below 2^-24 both sit inside the
+   sketch's range, so no quantile saturates at either end: p50 lands on
+   the tiny value, p90/p99 on the large ones.  Multiplicities keep the
+   oracle's rank interpolation between equal neighbours. *)
+let saturation_samples =
+  List.init 600 (fun _ -> 1e-9)
+  @ List.concat_map (fun v -> List.init 100 (fun _ -> v)) [ 100.0; 500.0; 1000.0; 2000.0; 4000.0 ]
+
+let test_hist_no_saturation () =
+  hist_accuracy_check ~name:"counts and sub-2^-24 values" saturation_samples
 
 let test_hist_extremes () =
   let t = Telemetry.create () in
@@ -390,41 +399,6 @@ let prop_json_fuzz_no_crash =
         QCheck.Test.fail_reportf "of_string %S raised %s" s
           (Printexc.to_string e))
 
-(* -- Sharded recording under domains -------------------------------------- *)
-
-(* Integer-valued floats keep every partial sum exact, so the merged
-   totals must equal the sequential ones bit-for-bit no matter how the
-   work was split across shards. *)
-let record reg i =
-  Telemetry.incr reg "c" ~by:(1 + (i mod 5));
-  Telemetry.observe reg "h" (float_of_int ((i * 7919 mod 997) + 1))
-
-let prop_sharded_merge =
-  QCheck.Test.make ~name:"sharded recording merges to sequential totals"
-    ~count:20
-    QCheck.(pair (int_range 1 6) (int_range 0 3000))
-    (fun (size, n) ->
-      let seq = Telemetry.create () in
-      for i = 0 to n - 1 do
-        record seq i
-      done;
-      let par = Telemetry.create () in
-      let pool = Stdx.Domain_pool.create ~size () in
-      Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
-      Telemetry.counter_value par "c" = Telemetry.counter_value seq "c"
-      && Telemetry.hist_summary par "h" = Telemetry.hist_summary seq "h")
-
-let test_sharded_fanout_exact () =
-  let n = 4096 in
-  let par = Telemetry.create () in
-  let pool = Stdx.Domain_pool.create ~size:4 () in
-  Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
-  Alcotest.(check int) "counter total"
-    (List.init n Fun.id |> List.fold_left (fun acc i -> acc + 1 + (i mod 5)) 0)
-    (Telemetry.counter_value par "c");
-  Alcotest.(check int) "histogram count" n
-    (Option.get (Telemetry.hist_summary par "h")).Telemetry.count
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -439,6 +413,7 @@ let () =
         [
           Alcotest.test_case "exponential vs oracle" `Quick test_hist_exponential;
           Alcotest.test_case "uniform vs oracle" `Quick test_hist_uniform;
+          Alcotest.test_case "no saturation" `Quick test_hist_no_saturation;
           Alcotest.test_case "extreme percentiles" `Quick test_hist_extremes;
           Alcotest.test_case "out-of-range values" `Quick test_hist_out_of_range;
           Alcotest.test_case "empty and unknown" `Quick
@@ -469,10 +444,5 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_fuzz_no_crash;
-        ] );
-      ( "sharding",
-        [
-          QCheck_alcotest.to_alcotest prop_sharded_merge;
-          Alcotest.test_case "fan-out totals exact" `Quick test_sharded_fanout_exact;
         ] );
     ]

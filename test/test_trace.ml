@@ -100,6 +100,15 @@ let test_sampling_extremes () =
   Alcotest.(check bool) "sample=1 keeps everything" true
     (List.for_all Fun.id (keep_pattern ~sample:1.0 ~seed:1 50))
 
+let test_sample_validated () =
+  List.iter
+    (fun sample ->
+      Alcotest.check_raises
+        (Printf.sprintf "sample=%g rejected" sample)
+        (Invalid_argument "Trace.create: sample must be in [0, 1]")
+        (fun () -> ignore (Trace.create ~sample ())))
+    [ Float.nan; -0.1; 1.5; 2.0; Float.infinity ]
+
 let test_noop () =
   Alcotest.(check bool) "noop disabled" false (Trace.enabled Trace.noop);
   Alcotest.(check bool) "noop never samples" true
@@ -208,6 +217,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_sampling_deterministic;
           Alcotest.test_case "extremes" `Quick test_sampling_extremes;
+          Alcotest.test_case "rate validated" `Quick test_sample_validated;
           Alcotest.test_case "noop" `Quick test_noop;
         ] );
       ( "export",
