@@ -17,7 +17,6 @@ module App = Activermt_apps.App
 module Stats = Stdx.Stats
 module Telemetry = Activermt_telemetry.Telemetry
 module Trace = Activermt_telemetry.Trace
-module Json = Activermt_telemetry.Json
 
 let params = Rmt.Params.default
 
@@ -97,46 +96,40 @@ let baseline =
 let phase_names =
   [ "alloc.admit"; "alloc.enumerate"; "alloc.snapshot"; "alloc.score"; "alloc.fill" ]
 
-let json_of_phase (s : Telemetry.hist_summary) =
-  Json.Obj
+let rows_of_stats s =
+  let at suffix = Rows.row ~section:"fastpath" ~key:(s.workload ^ suffix) in
+  let phase name (h : Telemetry.hist_summary) =
+    let row = at ("/" ^ name) in
+    let ms metric v = row metric ~unit:"ms" (1000.0 *. v) in
     [
-      ("count", Json.Num (float_of_int s.Telemetry.count));
-      ("total_ms", Json.Num (1000.0 *. s.Telemetry.sum));
-      ("p50_ms", Json.Num (1000.0 *. s.Telemetry.p50));
-      ("p99_ms", Json.Num (1000.0 *. s.Telemetry.p99));
-      ("max_ms", Json.Num (1000.0 *. s.Telemetry.max));
+      row "count" ~unit:"count" (float_of_int h.Telemetry.count);
+      ms "total_ms" h.Telemetry.sum;
+      ms "p50_ms" h.Telemetry.p50;
+      ms "p99_ms" h.Telemetry.p99;
+      ms "max_ms" h.Telemetry.max;
     ]
-
-let json_of_stats s =
-  let phases =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun sum -> (name, json_of_phase sum))
-          (Telemetry.hist_summary s.tel name))
+  in
+  let row = at "" in
+  [
+    row "arrivals" ~unit:"count" (float_of_int s.arrivals);
+    row "admitted" ~unit:"count" (float_of_int s.admitted);
+    row "arrivals_per_sec" ~unit:"1/s" ~gates:[ Rows.throughput_floor ] (throughput s);
+    row "p50_ms" ~unit:"ms" s.p50_ms;
+    row "p99_ms" ~unit:"ms" ~gates:[ Rows.latency_ceiling ] s.p99_ms;
+  ]
+  @ List.concat_map
+      (fun name -> Option.fold ~none:[] ~some:(phase name) (Telemetry.hist_summary s.tel name))
       phase_names
-  in
-  let counters =
-    List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) (Telemetry.counters s.tel)
-  in
-  Json.Obj
-    [
-      ("workload", Json.Str s.workload);
-      ("arrivals", Json.Num (float_of_int s.arrivals));
-      ("admitted", Json.Num (float_of_int s.admitted));
-      ("arrivals_per_sec", Json.Num (Float.round (10.0 *. throughput s) /. 10.0));
-      ("p50_ms", Json.Num s.p50_ms);
-      ("p99_ms", Json.Num s.p99_ms);
-      ("phases", Json.Obj phases);
-      ("counters", Json.Obj counters);
-    ]
+  @ List.map
+      (fun (k, v) -> at "/counters" k ~unit:"count" (float_of_int v))
+      (Telemetry.counters s.tel)
 
 (* Flight-recorder overhead on the admit path: the same mixed workload
    with tracing off (a [Trace.noop] tracer — the default every component
    ships with), head-sampled at 1%, and fully sampled.  The "off" figure
    must stay within noise of the untraced runs above; the sampled figures
-   quantify what --trace-out costs.  The section is candidate-only, so
-   bench_compare reports it as INFO rather than gating on it. *)
+   quantify what --trace-out costs.  The rows carry no gates: they are
+   data, not a claim CI holds. *)
 let measure_traced ~tracer arrivals =
   let alloc = Allocator.create ~telemetry:(Telemetry.create ()) ~tracer params in
   let t0 = Unix.gettimeofday () in
@@ -177,29 +170,28 @@ let trace_section mixed =
         Trace.reset full;
         measure_traced ~tracer:full mixed)
   in
-  let tput t = Float.round (10.0 *. (float_of_int n /. t)) /. 10.0 in
-  let overhead t = Float.round (1000.0 *. ((t -. t_off) /. t_off)) /. 10.0 in
+  let tput t = float_of_int n /. t in
+  let overhead t = 100.0 *. ((t -. t_off) /. t_off) in
   Printf.printf
     "trace overhead (mixed):  off %9.1f arrivals/s   1%% sampled %9.1f \
      (%+.1f%%)   full %9.1f (%+.1f%%)\n"
     (tput t_off) (tput t_sampled) (overhead t_sampled) (tput t_full)
     (overhead t_full);
-  let cfg t tracer =
-    Json.Obj
-      [
-        ("arrivals_per_sec", Json.Num (tput t));
-        ("overhead_pct", Json.Num (overhead t));
-        ("events", Json.Num (float_of_int (Trace.length tracer)));
-      ]
-  in
-  Json.Obj
+  let row = Rows.row ~section:"trace" in
+  let cfg name t tracer =
+    let row = row ~key:("mixed/" ^ name) in
     [
-      ("workload", Json.Str "mixed");
-      ("arrivals", Json.Num (float_of_int n));
-      ("off_arrivals_per_sec", Json.Num (tput t_off));
-      ("sampled_1pct", cfg t_sampled sampled);
-      ("full", cfg t_full full);
+      row "arrivals_per_sec" ~unit:"1/s" (tput t);
+      row "overhead_pct" ~unit:"%" (overhead t);
+      row "events" ~unit:"count" (float_of_int (Trace.length tracer));
     ]
+  in
+  [
+    row ~key:"mixed" "arrivals" ~unit:"count" (float_of_int n);
+    row ~key:"mixed" "off_arrivals_per_sec" ~unit:"1/s" (tput t_off);
+  ]
+  @ cfg "sampled_1pct" t_sampled sampled
+  @ cfg "full" t_full full
 
 let git_commit () =
   try
@@ -213,58 +205,26 @@ let git_commit () =
 (* Environment stamp so CI comparisons are apples-to-apples: a regression
    gate should only trust records produced by the same code on a
    comparable machine. *)
-let json_meta ~quick ~n =
-  Json.Obj
-    [
-      ("git_commit", Json.Str (git_commit ()));
-      ("ocaml_version", Json.Str Sys.ocaml_version);
-      ("quick", Json.Bool quick);
-      ("arrivals_per_workload", Json.Num (float_of_int n));
-    ]
-
-let json_of_run ~quick ~n ~trace stats =
-  Json.Obj
-    [
-      ("meta", json_meta ~quick ~n);
-      ("trace", trace);
-      ( "baseline_seq",
-        Json.Arr
-          (List.map
-             (fun (w, tput, p50, p99) ->
-               Json.Obj
-                 [
-                   ("workload", Json.Str w);
-                   ("arrivals_per_sec", Json.Num tput);
-                   ("p50_ms", Json.Num p50);
-                   ("p99_ms", Json.Num p99);
-                 ])
-             baseline) );
-      ("fastpath", Json.Arr (List.map json_of_stats stats));
-    ]
-
-(* Rewrite the file but carry over every section other bench entries
-   own (fleet, chaos, churn, health, ...), so running [alloc] after them
-   doesn't erase their numbers. *)
-let write_json ~path json =
-  let preserved =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match (Json.of_string text, json) with
-      | Ok (Json.Obj old), Json.Obj fields ->
-        List.filter (fun (k, _) -> not (List.mem_assoc k fields)) old
-      | _ -> []
-    end
-    else []
+let meta_rows ~quick ~n =
+  let row =
+    Rows.row ~section:"meta"
+      ~key:(Printf.sprintf "git %s ocaml %s" (git_commit ()) Sys.ocaml_version)
   in
-  let json =
-    match json with Json.Obj fields -> Json.Obj (fields @ preserved) | _ -> json
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc
+  [
+    row "quick" ~unit:"bool" (if quick then 1.0 else 0.0);
+    row "arrivals_per_workload" ~unit:"count" (float_of_int n);
+  ]
+
+let baseline_rows =
+  List.concat_map
+    (fun (w, tput, p50, p99) ->
+      let row = Rows.row ~section:"baseline_seq" ~key:w in
+      [
+        row "arrivals_per_sec" ~unit:"1/s" tput;
+        row "p50_ms" ~unit:"ms" p50;
+        row "p99_ms" ~unit:"ms" p99;
+      ])
+    baseline
 
 let print_stats s =
   Printf.printf
@@ -303,6 +263,13 @@ let run ~quick =
     let base = List.assoc "mixed" (List.map (fun (w, t, _, _) -> (w, t)) baseline) in
     Printf.printf "mixed speedup vs seed baseline: %.1fx\n" (throughput s /. base)
   | None -> ());
-  let trace = trace_section mixed in
-  write_json ~path:"BENCH_alloc.json" (json_of_run ~quick ~n ~trace stats);
-  print_endline "wrote BENCH_alloc.json"
+  let sections =
+    [
+      ("meta", meta_rows ~quick ~n);
+      ("trace", trace_section mixed);
+      ("baseline_seq", baseline_rows);
+      ("fastpath", List.concat_map rows_of_stats stats);
+    ]
+  in
+  List.iter (fun (section, rows) -> Rows.write ~section rows) sections;
+  List.iter (fun (_, rows) -> Rows.check rows) sections

@@ -10,7 +10,6 @@
 module Chaos = Experiments.Chaos
 module Faults = Netsim.Faults
 module Telemetry = Activermt_telemetry.Telemetry
-module Json = Activermt_telemetry.Json
 
 let seed = 0xC4A05
 
@@ -43,41 +42,27 @@ let print_row { label; loss; retries; r } =
     r.Chaos.negotiation_retries r.Chaos.sync_retransmits r.Chaos.fallback_words
     r.Chaos.fault_events
 
-let json_of_row { label; loss; retries; r } =
-  Json.Obj
-    [
-      ("label", Json.Str label);
-      ("loss", Json.Num loss);
-      ("retries", Json.Str (if retries then "on" else "off"));
-      ("completion", Json.Num r.Chaos.completion);
-      ("completed", Json.Num (float_of_int r.Chaos.completed));
-      ("negotiation_retries", Json.Num (float_of_int r.Chaos.negotiation_retries));
-      ("sync_retransmits", Json.Num (float_of_int r.Chaos.sync_retransmits));
-      ("fallback_words", Json.Num (float_of_int r.Chaos.fallback_words));
-      ("fault_events", Json.Num (float_of_int r.Chaos.fault_events));
-      ("sim_time_s", Json.Num r.Chaos.sim_time_s);
-    ]
+(* The claims the sweep holds: the fault-free run completes every
+   service, and with retries 1% loss still completes >= 95%. *)
+let gates_of { label; loss; retries; _ } =
+  if label <> "loss" || not retries then []
+  else if loss = 0.0 then [ Rows.Abs (Ge, 1.0) ]
+  else if loss = 0.01 then [ Rows.Abs (Ge, 0.95) ]
+  else []
 
-(* Same pattern as the fleet bench: own only the "chaos" member of
-   BENCH_alloc.json. *)
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "chaos" fields @ [ ("chaos", section) ]
-    | None -> [ ("chaos", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
+let rows_of ({ label; loss; retries; r } as sweep) =
+  let key = Printf.sprintf "%s %g retries %s" label loss (if retries then "on" else "off") in
+  let row = Rows.row ~section:"chaos" ~key in
+  let count name n = row name ~unit:"count" (float_of_int n) in
+  [
+    row "completion" ~unit:"fraction" ~gates:(gates_of sweep) r.Chaos.completion;
+    count "completed" r.Chaos.completed;
+    count "negotiation_retries" r.Chaos.negotiation_retries;
+    count "sync_retransmits" r.Chaos.sync_retransmits;
+    row "fallback_words" ~unit:"words" (float_of_int r.Chaos.fallback_words);
+    count "fault_events" r.Chaos.fault_events;
+    row "sim_time_s" ~unit:"s" r.Chaos.sim_time_s;
+  ]
 
 let write_trace ~path faults =
   let oc = open_out path in
@@ -111,19 +96,11 @@ let run ~quick =
       rows
     |> Option.get
   in
-  (* Sanity anchors for the sweep itself. *)
-  let clean = completion_at ~loss:0.0 ~retries:true in
-  if clean < 1.0 then failwith "chaos bench: fault-free run did not complete";
   let gated = completion_at ~loss:0.01 ~retries:true in
   let baseline = completion_at ~loss:0.01 ~retries:false in
   Printf.printf
     "1%% loss: completion %.1f%% with retries vs %.1f%% fire-once baseline\n"
     (100.0 *. gated) (100.0 *. baseline);
-  if gated < 0.95 then
-    failwith
-      (Printf.sprintf
-         "chaos bench: completion %.3f at 1%% loss with retries is below the 0.95 gate"
-         gated);
 
   let hostile_row = List.nth rows (List.length rows - 1) in
   write_trace ~path:"chaos_trace.txt" hostile_row.r.Chaos.faults;
@@ -138,15 +115,14 @@ let run ~quick =
     hostile_row.r.Chaos.completion;
   Telemetry.set_gauge tel "chaos.bench.seed" (float_of_int seed);
 
-  let section =
-    Json.Obj
-      [
-        ("seed", Json.Num (float_of_int seed));
-        ("services", Json.Num (float_of_int Chaos.default_config.Chaos.services));
-        ("words", Json.Num (float_of_int Chaos.default_config.Chaos.words));
-        ("gate_completion_1pct", Json.Num 0.95);
-        ("sweep", Json.Arr (List.map json_of_row rows));
-      ]
+  let row = Rows.row ~section:"chaos" in
+  let rows =
+    [
+      row "seed" ~unit:"id" (float_of_int seed);
+      row "services" ~unit:"count" (float_of_int Chaos.default_config.Chaos.services);
+      row "words" ~unit:"words" (float_of_int Chaos.default_config.Chaos.words);
+    ]
+    @ List.concat_map rows_of rows
   in
-  merge_into_bench_json ~path:"BENCH_alloc.json" section;
-  print_endline "merged chaos section into BENCH_alloc.json"
+  Rows.write ~section:"chaos" rows;
+  Rows.check rows

@@ -19,7 +19,6 @@ module Churn = Workload.Churn
 module Churn_pipeline = Experiments.Churn_pipeline
 module Harness = Experiments.Harness
 module Telemetry = Activermt_telemetry.Telemetry
-module Json = Activermt_telemetry.Json
 
 let params = Rmt.Params.default
 let min_batch_speedup = 10.0
@@ -60,50 +59,30 @@ let measure_sequential ~prefix_arrivals zcfg =
   loop trace;
   if !admit_wall > 0.0 then float_of_int !done_ /. !admit_wall else 0.0
 
-let json_section ~clients ~(r : Churn_pipeline.result) ~sequential_aps ~speedup =
-  let num v = Json.Num (Float.round (10.0 *. v) /. 10.0) in
-  Json.Obj
-    [
-      ("min_batch_speedup", Json.Num min_batch_speedup);
-      ("target_arrivals_per_sec", Json.Num target_arrivals_per_sec);
-      ("clients", Json.Num (float_of_int clients));
-      ("batch", Json.Num (float_of_int r.Churn_pipeline.batch));
-      ("seed", Json.Num (float_of_int seed));
-      ("epochs", Json.Num (float_of_int r.Churn_pipeline.epochs));
-      ("admitted", Json.Num (float_of_int r.Churn_pipeline.admitted));
-      ("rejected", Json.Num (float_of_int r.Churn_pipeline.rejected));
-      ("rescored", Json.Num (float_of_int r.Churn_pipeline.rescored));
-      ("memo_hits", Json.Num (float_of_int r.Churn_pipeline.memo_hits));
-      ("refills_saved", Json.Num (float_of_int r.Churn_pipeline.refills_saved));
-      ("batched_arrivals_per_sec", num r.Churn_pipeline.arrivals_per_sec);
-      ("sequential_arrivals_per_sec", num sequential_aps);
-      ("batch_speedup", Json.Num (Float.round (100.0 *. speedup) /. 100.0));
-      ( "modeled_arrivals_per_sec",
-        num r.Churn_pipeline.modeled_arrivals_per_sec );
-      ("p50_tts_ms", Json.Num r.Churn_pipeline.p50_tts_ms);
-      ("p99_tts_ms", Json.Num r.Churn_pipeline.p99_tts_ms);
-    ]
-
-(* Merge the churn section into BENCH_alloc.json without disturbing the
-   sections other bench entries own. *)
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "churn" fields @ [ ("churn", section) ]
-    | None -> [ ("churn", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
+let rows_of ~clients ~(r : Churn_pipeline.result) ~sequential_aps ~speedup =
+  let row = Rows.row ~section:"churn" in
+  let count name n = row name ~unit:"count" (float_of_int n) in
+  [
+    row "target_arrivals_per_sec" ~unit:"1/s" target_arrivals_per_sec;
+    count "clients" clients;
+    count "batch" r.Churn_pipeline.batch;
+    row "seed" ~unit:"id" (float_of_int seed);
+    count "epochs" r.Churn_pipeline.epochs;
+    count "admitted" r.Churn_pipeline.admitted;
+    count "rejected" r.Churn_pipeline.rejected;
+    count "rescored" r.Churn_pipeline.rescored;
+    count "memo_hits" r.Churn_pipeline.memo_hits;
+    count "refills_saved" r.Churn_pipeline.refills_saved;
+    row "batched_arrivals_per_sec" ~unit:"1/s" ~gates:[ Rows.throughput_floor ]
+      r.Churn_pipeline.arrivals_per_sec;
+    row "sequential_arrivals_per_sec" ~unit:"1/s" sequential_aps;
+    row "batch_speedup" ~unit:"x"
+      ~gates:[ Rows.Abs (Ge, min_batch_speedup); Rows.throughput_floor ]
+      speedup;
+    row "modeled_arrivals_per_sec" ~unit:"1/s" r.Churn_pipeline.modeled_arrivals_per_sec;
+    row "p50_tts_ms" ~unit:"ms" r.Churn_pipeline.p50_tts_ms;
+    row "p99_tts_ms" ~unit:"ms" ~gates:[ Rows.latency_ceiling ] r.Churn_pipeline.p99_tts_ms;
+  ]
 
 let run ~quick =
   let clients = if quick then 50_000 else 1_000_000 in
@@ -147,11 +126,6 @@ let run ~quick =
   Telemetry.set_gauge tel "churn.bench.batch_speedup" speedup;
   Telemetry.set_gauge tel "churn.bench.p99_tts_ms" r.Churn_pipeline.p99_tts_ms;
 
-  merge_into_bench_json ~path:"BENCH_alloc.json"
-    (json_section ~clients ~r ~sequential_aps ~speedup);
-  print_endline "merged churn section into BENCH_alloc.json";
-  if speedup < min_batch_speedup && Sys.getenv_opt "CHURN_PROFILE" = None then
-    failwith
-      (Printf.sprintf
-         "churn bench: batched admission %.2fx over sequential, below %.1fx gate"
-         speedup min_batch_speedup)
+  let rows = rows_of ~clients ~r ~sequential_aps ~speedup in
+  Rows.write ~section:"churn" rows;
+  Rows.check rows

@@ -10,8 +10,9 @@
      pure   cache-only traffic (query-heavy with some populates)
      mixed  cache + heavy-hitter monitor + Cheetah LB SYNs
 
-   The mixed speedup is the gate: the PR's acceptance criterion is >= 5x,
-   enforced here and against the committed baseline by bench_compare. *)
+   The mixed speedup is the gate: >= 5x, checked here after writing and
+   re-checked, with each speedup held to 0.7x its baseline row, by
+   bench_compare. *)
 
 module Controller = Activermt_control.Controller
 module Negotiate = Activermt_client.Negotiate
@@ -20,7 +21,6 @@ module Hh_client = Activermt_client.Hh_client
 module Lb_client = Activermt_client.Lb_client
 module Mutant = Activermt_compiler.Mutant
 module Telemetry = Activermt_telemetry.Telemetry
-module Json = Activermt_telemetry.Json
 module Kv = Workload.Kv
 
 let params = Rmt.Params.default
@@ -137,40 +137,22 @@ let measure ~quick name pool =
     jit_pps = !jit_pps;
   }
 
-let json_of_row r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.workload);
-      ("packets_per_round", Json.Num (float_of_int r.packets));
-      ("interp_pps", Json.Num (Float.round r.interp_pps));
-      ("jit_pps", Json.Num (Float.round r.jit_pps));
-      ("speedup", Json.Num (Float.round (100.0 *. speedup r) /. 100.0));
-    ]
+let rows_of r =
+  let row = Rows.row ~section:"device" ~key:r.workload in
+  let speedup_gates =
+    if r.workload = "mixed" then [ Rows.Abs (Ge, min_speedup); Rows.throughput_floor ]
+    else [ Rows.throughput_floor ]
+  in
+  [
+    row "packets_per_round" ~unit:"count" (float_of_int r.packets);
+    row "interp_pps" ~unit:"pkt/s" r.interp_pps;
+    row "jit_pps" ~unit:"pkt/s" r.jit_pps;
+    row "speedup" ~unit:"x" ~gates:speedup_gates (speedup r);
+  ]
 
 let print_row r =
   Printf.printf "%-6s  interp %10.0f pkt/s   jit %10.0f pkt/s   speedup %5.2fx\n"
     r.workload r.interp_pps r.jit_pps (speedup r)
-
-(* Merge the device section into BENCH_alloc.json without disturbing the
-   sections other bench entries own. *)
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "device" fields @ [ ("device", section) ]
-    | None -> [ ("device", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
 
 let run ~quick =
   Printf.printf "== Device execution: interpreter vs JIT specialization ==\n";
@@ -185,16 +167,6 @@ let run ~quick =
   Telemetry.set_gauge tel "device.bench.speedup_pure" (speedup pure);
   Telemetry.set_gauge tel "device.bench.speedup_mixed" (speedup mixed);
 
-  let section =
-    Json.Obj
-      [
-        ("min_speedup", Json.Num min_speedup);
-        ("workloads", Json.Arr [ json_of_row pure; json_of_row mixed ]);
-      ]
-  in
-  merge_into_bench_json ~path:"BENCH_alloc.json" section;
-  print_endline "merged device section into BENCH_alloc.json";
-  if speedup mixed < min_speedup then
-    failwith
-      (Printf.sprintf "device bench: JIT speedup %.2fx on mixed workload below %.1fx gate"
-         (speedup mixed) min_speedup)
+  let rows = rows_of pure @ rows_of mixed in
+  Rows.write ~section:"device" rows;
+  Rows.check rows

@@ -12,7 +12,6 @@ module Topology = Activermt_fleet.Topology
 module Placement = Activermt_fleet.Placement
 module Fleet = Activermt_fleet.Fleet
 module Telemetry = Activermt_telemetry.Telemetry
-module Json = Activermt_telemetry.Json
 module Churn = Workload.Churn
 
 let params = Rmt.Params.with_blocks_per_stage Rmt.Params.default 32
@@ -57,16 +56,16 @@ let offer ~switches ~n ~seed =
         Option.value ~default:0.0 (Telemetry.gauge_value tel "fleet.occupancy");
     } )
 
-let json_of_capacity c =
-  Json.Obj
-    [
-      ("switches", Json.Num (float_of_int c.switches));
-      ("offered", Json.Num (float_of_int c.offered));
-      ("admitted", Json.Num (float_of_int c.admitted));
-      ("concurrent", Json.Num (float_of_int c.concurrent));
-      ("spillover", Json.Num (float_of_int c.spillover));
-      ("occupancy", Json.Num c.occupancy);
-    ]
+let rows_of_capacity ?gates c =
+  let row = Rows.row ~section:"fleet" ~key:(Printf.sprintf "%dsw" c.switches) in
+  let count ?gates name n = row ?gates name ~unit:"count" (float_of_int n) in
+  [
+    count "offered" c.offered;
+    count "admitted" c.admitted;
+    count ?gates "concurrent" c.concurrent;
+    count "spillover" c.spillover;
+    row "occupancy" ~unit:"fraction" c.occupancy;
+  ]
 
 let print_capacity c =
   Printf.printf
@@ -74,27 +73,6 @@ let print_capacity c =
     c.switches
     (if c.switches = 1 then " " else "es")
     c.offered c.admitted c.concurrent c.spillover c.occupancy
-
-(* Merge the fleet section into BENCH_alloc.json without disturbing the
-   sections other bench entries own (and vice versa). *)
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "fleet" fields @ [ ("fleet", section) ]
-    | None -> [ ("fleet", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
 
 let run ~quick =
   let n = if quick then 100 else 300 in
@@ -110,8 +88,6 @@ let run ~quick =
     else 0.0
   in
   Printf.printf "concurrency scaling 4sw/1sw: %.2fx\n" scaling;
-  if four.concurrent <= one.concurrent then
-    failwith "fleet bench: 4 switches did not admit more than 1";
 
   (* Failure drill: a fresh 4-switch fleet at full stage capacity, loaded
      below saturation so the drill measures re-placement (and its state
@@ -138,7 +114,6 @@ let run ~quick =
   Printf.printf
     "failure drill: failed switch %d (%d residents) -> %d relocated, %d lost\n"
     victim victim_residents (List.length relocated) (List.length lost);
-  if lost <> [] then failwith "fleet bench: switch failure lost FIDs";
 
   (* Headline numbers ride the process registry for --metrics-out. *)
   let tel = Telemetry.default in
@@ -150,23 +125,25 @@ let run ~quick =
   Telemetry.set_gauge tel "fleet.bench.failover_lost"
     (float_of_int (List.length lost));
 
-  let section =
-    Json.Obj
-      [
-        ("policy", Json.Str (Placement.policy_to_string Placement.Least_loaded));
-        ("arrivals", Json.Num (float_of_int n));
-        ("blocks_per_stage", Json.Num (float_of_int params.Rmt.Params.blocks_per_stage));
-        ("capacity", Json.Arr [ json_of_capacity one; json_of_capacity four ]);
-        ("concurrency_scaling", Json.Num (Float.round (100.0 *. scaling) /. 100.0));
-        ( "failover",
-          Json.Obj
-            [
-              ("failed_switch", Json.Num (float_of_int victim));
-              ("residents", Json.Num (float_of_int victim_residents));
-              ("relocated", Json.Num (float_of_int (List.length relocated)));
-              ("lost", Json.Num (float_of_int (List.length lost)));
-            ] );
+  let policy = Placement.policy_to_string Placement.Least_loaded in
+  let row = Rows.row ~section:"fleet" in
+  let failover ?gates name n = row ~key:"failover" ?gates name ~unit:"count" (float_of_int n) in
+  let rows =
+    [
+      row ~key:policy "arrivals" ~unit:"count" (float_of_int n);
+      row ~key:policy "blocks_per_stage" ~unit:"blocks"
+        (float_of_int params.Rmt.Params.blocks_per_stage);
+      row ~key:policy "concurrency_scaling" ~unit:"x" scaling;
+    ]
+    @ rows_of_capacity one
+    (* the fleet must admit strictly more than one switch *)
+    @ rows_of_capacity ~gates:[ Rows.Abs (Gt, float_of_int one.concurrent) ] four
+    @ [
+        row ~key:"failover" "failed_switch" ~unit:"id" (float_of_int victim);
+        failover "residents" victim_residents;
+        failover "relocated" (List.length relocated);
+        failover "lost" ~gates:[ Rows.Abs (Eq, 0.0) ] (List.length lost);
       ]
   in
-  merge_into_bench_json ~path:"BENCH_alloc.json" section;
-  print_endline "merged fleet section into BENCH_alloc.json"
+  Rows.write ~section:"fleet" rows;
+  Rows.check rows

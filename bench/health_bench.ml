@@ -5,8 +5,7 @@
    monitor, SLO evaluation) — and the section records the wall-clock
    overhead recording imposes.
 
-   Gates (in-binary, HEALTH_PROFILE=1 bypasses; bench_compare re-checks
-   the section):
+   Gates (checked here after writing; bench_compare re-checks them):
    - decisions identical: enabling the health plane must not change a
      single admission outcome (admitted/rejected/epoch counts equal, and
      the modeled clock agrees bit for bit);
@@ -19,7 +18,6 @@ module Churn = Workload.Churn
 module Churn_pipeline = Experiments.Churn_pipeline
 module Timeseries = Activermt_telemetry.Timeseries
 module Telemetry = Activermt_telemetry.Telemetry
-module Json = Activermt_telemetry.Json
 module Slo = Activermt_health.Slo
 module Monitor = Activermt_health.Monitor
 
@@ -66,25 +64,6 @@ let timed ~series zcfg =
   let t0 = Unix.gettimeofday () in
   let r = Churn_pipeline.run ~params ~series ~seed zcfg in
   (Unix.gettimeofday () -. t0, r)
-
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "health" fields @ [ ("health", section) ]
-    | None -> [ ("health", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
 
 let run ~quick =
   let zcfg = zcfg ~quick in
@@ -138,31 +117,19 @@ let run ~quick =
   let tel = Telemetry.default in
   Telemetry.set_gauge tel "health.bench.overhead_frac" overhead;
   Telemetry.set_gauge tel "health.bench.pages" (float_of_int pages);
-  let section =
-    Json.Obj
-      [
-        ("max_overhead", Json.Num max_overhead);
-        ("clients", Json.Num (float_of_int zcfg.Churn.clients));
-        ("trials", Json.Num (float_of_int trials));
-        ("disabled_wall_s", Json.Num (Float.round (1e6 *. t_off) /. 1e6));
-        ("enabled_wall_s", Json.Num (Float.round (1e6 *. t_on) /. 1e6));
-        ("overhead_frac", Json.Num (Float.round (1e4 *. overhead) /. 1e4));
-        ("series_count", Json.Num (float_of_int (List.length (Timeseries.names series))));
-        ("decisions_identical", Json.Num (if identical then 1.0 else 0.0));
-        ("pages", Json.Num (float_of_int pages));
-      ]
+  let row = Rows.row ~section:"health" in
+  let rows =
+    [
+      row "clients" ~unit:"count" (float_of_int zcfg.Churn.clients);
+      row "trials" ~unit:"count" (float_of_int trials);
+      row "disabled_wall_s" ~unit:"s" t_off;
+      row "enabled_wall_s" ~unit:"s" t_on;
+      row "overhead_frac" ~unit:"fraction" ~gates:[ Rows.Abs (Le, max_overhead) ] overhead;
+      row "series_count" ~unit:"count" (float_of_int (List.length (Timeseries.names series)));
+      row "decisions_identical" ~unit:"bool" ~gates:[ Rows.Abs (Eq, 1.0) ]
+        (if identical then 1.0 else 0.0);
+      row "pages" ~unit:"count" ~gates:[ Rows.Abs (Eq, 0.0) ] (float_of_int pages);
+    ]
   in
-  merge_into_bench_json ~path:"BENCH_alloc.json" section;
-  print_endline "merged health section into BENCH_alloc.json";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not identical then fail "admission decisions diverged with recording on";
-  if overhead > max_overhead then
-    fail "recording overhead %.2f%% above %.0f%%" (100.0 *. overhead)
-      (100.0 *. max_overhead);
-  if pages > 0 then fail "%d page(s) on the healthy workload" pages;
-  match !failures with
-  | [] -> ()
-  | fs when Sys.getenv_opt "HEALTH_PROFILE" <> None ->
-    List.iter (fun f -> Printf.printf "NOTE (gate bypassed): %s\n" f) fs
-  | fs -> failwith ("health bench: " ^ String.concat "; " (List.rev fs))
+  Rows.write ~section:"health" rows;
+  Rows.check rows

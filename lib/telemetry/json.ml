@@ -6,8 +6,11 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* JSON has no nan or infinity: print them as null, which [of_string]
+   reads back. *)
 let num_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 

@@ -14,7 +14,8 @@ type t =
   | Obj of (string * t) list
 
 val to_string : ?pretty:bool -> t -> string
-(** [pretty] (default false) adds newlines and two-space indentation. *)
+(** [pretty] (default false) adds newlines and two-space indentation.
+    A non-finite [Num] (nan, infinity) prints as [null]. *)
 
 val of_string : string -> (t, string) result
 

@@ -335,6 +335,17 @@ let test_json_errors () =
   Alcotest.(check bool) "trailing rejected" true
     (Result.is_error (Json.of_string "1 2"))
 
+(* JSON has no nan or infinity, so the printer writes them as null and
+   its own parser reads the output back. *)
+let test_json_non_finite () =
+  List.iter
+    (fun v ->
+      let text = Json.to_string (Json.Obj [ ("x", Json.Num v) ]) in
+      Alcotest.(check string) (Printf.sprintf "%h prints null" v) {|{"x":null}|} text;
+      Alcotest.(check bool) "parses back" true
+        (Json.of_string text = Ok (Json.Obj [ ("x", Json.Null) ])))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let prop_json_roundtrip =
   let gen_json =
     QCheck.Gen.(
@@ -442,6 +453,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_json_parse;
           Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_fuzz_no_crash;
         ] );
