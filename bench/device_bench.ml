@@ -12,7 +12,12 @@
 
    The mixed speedup is the gate: >= 5x, checked here after writing and
    re-checked, with each speedup held to 0.7x its baseline row, by
-   bench_compare. *)
+   bench_compare.
+
+   A third row set ("fabric") sends the mixed pool through [Fabric.send]
+   end to end — engine events, switch execution, delivery — once with a
+   live telemetry registry and once with [Telemetry.noop], and gates
+   what leaving telemetry on costs: at most 10% of capsule throughput. *)
 
 module Controller = Activermt_control.Controller
 module Negotiate = Activermt_client.Negotiate
@@ -21,10 +26,13 @@ module Hh_client = Activermt_client.Hh_client
 module Lb_client = Activermt_client.Lb_client
 module Mutant = Activermt_compiler.Mutant
 module Telemetry = Activermt_telemetry.Telemetry
+module Engine = Netsim.Engine
+module Fabric = Netsim.Fabric
 module Kv = Workload.Kv
 
 let params = Rmt.Params.default
 let min_speedup = 5.0
+let max_telemetry_overhead = 0.10
 
 let admit controller ~fid service =
   let request = Negotiate.request_packet ~fid ~seq:0 service in
@@ -38,20 +46,22 @@ let client_exn = function Ok c -> c | Error e -> failwith ("device bench: " ^ e)
 (* One tenant of each service, admitted through the normal control path so
    the JIT specializes against a real granted allocation. *)
 type tenants = {
+  controller : Controller.t;
   tables : Activermt.Table.t;
   cache : Cache_client.t;
   hh : Hh_client.t;
   lb : Lb_client.t;
 }
 
-let setup () =
+let setup ?(telemetry = Telemetry.default) () =
   let device = Rmt.Device.create params in
-  let controller = Controller.create device in
+  let controller = Controller.create ~telemetry device in
   let policy = Mutant.Most_constrained in
   let cache_regions = admit controller ~fid:1 Activermt_apps.Cache.service in
   let hh_regions = admit controller ~fid:2 Activermt_apps.Heavy_hitter.service in
   let lb_regions = admit controller ~fid:3 Activermt_apps.Cheetah_lb.service in
   {
+    controller;
     tables = Controller.tables controller;
     cache = client_exn (Cache_client.create params ~policy ~fid:1 ~regions:cache_regions);
     hh = client_exn (Hh_client.create params ~policy ~fid:2 ~regions:hh_regions);
@@ -150,6 +160,66 @@ let rows_of r =
     row "speedup" ~unit:"x" ~gates:speedup_gates (speedup r);
   ]
 
+(* -- Fabric telemetry overhead ------------------------------------------- *)
+
+let client = 100
+let server = 200
+
+(* One switch behind a fabric, every component recording into
+   [telemetry], with the mixed pool built against its tenants. *)
+let fabric_world telemetry =
+  let tn = setup ~telemetry () in
+  let engine = Engine.create ~telemetry () in
+  let fabric = Fabric.create ~telemetry ~engine ~controller:tn.controller () in
+  Fabric.attach fabric client ignore;
+  Fabric.attach fabric server ignore;
+  (engine, fabric, pool_mixed tn)
+
+(* Capsules/sec for [rounds] passes of the pool through the fabric, the
+   engine drained after each pass. *)
+let fabric_window ~rounds (engine, fabric, pool) =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to rounds do
+    Array.iter
+      (fun pkt ->
+        Fabric.send fabric (Fabric.msg ~src:client ~dst:server (Fabric.Active pkt)))
+      pool;
+    Engine.run engine
+  done;
+  float_of_int (rounds * Array.length pool) /. (Unix.gettimeofday () -. t0)
+
+type overhead = { live_pps : float; noop_pps : float }
+
+(* Cost of the live registry as a fraction of the noop run's time per
+   capsule. *)
+let overhead_frac o =
+  if o.live_pps > 0.0 then (o.noop_pps /. o.live_pps) -. 1.0 else nan
+
+let measure_fabric ~quick =
+  let rounds = if quick then 500 else 1500 in
+  let reps = if quick then 8 else 12 in
+  let live = fabric_world (Telemetry.create ()) in
+  let noop = fabric_world Telemetry.noop in
+  ignore (fabric_window ~rounds live);
+  ignore (fabric_window ~rounds noop);
+  (* Alternate sides so ambient load hits both; keep each side's best. *)
+  let live_pps = ref 0.0 and noop_pps = ref 0.0 in
+  for _ = 1 to reps do
+    live_pps := Float.max !live_pps (fabric_window ~rounds live);
+    noop_pps := Float.max !noop_pps (fabric_window ~rounds noop)
+  done;
+  { live_pps = !live_pps; noop_pps = !noop_pps }
+
+let rows_of_overhead o =
+  let row = Rows.row ~section:"device" ~key:"fabric" in
+  [
+    row "live_pps" ~unit:"pkt/s" o.live_pps;
+    row "noop_pps" ~unit:"pkt/s" o.noop_pps;
+    row "telemetry_overhead" ~unit:"frac"
+      ~gates:[ Rows.Abs (Le, max_telemetry_overhead) ]
+      (overhead_frac o);
+  ]
+
 let print_row r =
   Printf.printf "%-6s  interp %10.0f pkt/s   jit %10.0f pkt/s   speedup %5.2fx\n"
     r.workload r.interp_pps r.jit_pps (speedup r)
@@ -160,6 +230,11 @@ let run ~quick =
   let mixed = measure ~quick "mixed" pool_mixed in
   print_row pure;
   print_row mixed;
+  let fabric = measure_fabric ~quick in
+  Printf.printf
+    "fabric  live %10.0f pkt/s   noop %10.0f pkt/s   telemetry overhead %+.1f%%\n"
+    fabric.live_pps fabric.noop_pps
+    (100.0 *. overhead_frac fabric);
 
   let tel = Telemetry.default in
   Telemetry.set_gauge tel "device.bench.interp_pps_mixed" mixed.interp_pps;
@@ -167,6 +242,6 @@ let run ~quick =
   Telemetry.set_gauge tel "device.bench.speedup_pure" (speedup pure);
   Telemetry.set_gauge tel "device.bench.speedup_mixed" (speedup mixed);
 
-  let rows = rows_of pure @ rows_of mixed in
+  let rows = rows_of pure @ rows_of mixed @ rows_of_overhead fabric in
   Rows.write ~section:"device" rows;
   Rows.check rows

@@ -21,6 +21,27 @@ type pending_admission = {
   mutable pa_tried : Topology.switch_id list;
 }
 
+(* One switch's metric and series names ([fleet.sw.<i>.<what>]),
+   formatted once in [create] rather than on every admission and
+   migration. *)
+type sw_names = {
+  sn_admitted : string;
+  sn_in : string;
+  sn_out : string;
+  sn_up : string;
+  sn_utilization : string;
+}
+
+let sw_names i =
+  let name what = Printf.sprintf "fleet.sw.%d.%s" i what in
+  {
+    sn_admitted = name "admitted";
+    sn_in = name "in";
+    sn_out = name "out";
+    sn_up = name "up";
+    sn_utilization = name "utilization";
+  }
+
 type t = {
   topo : Topology.t;
   engine : Engine.t;
@@ -48,11 +69,11 @@ type t = {
   mutable up_sum : float;
   mutable up_count : int;
   tel : Telemetry.t;
+  bridged : Telemetry.counter;
+  names : sw_names array;
   series : Timeseries.t;
   tracer : Trace.t;
 }
-
-let sw_counter i name = Printf.sprintf "fleet.sw.%d.%s" i name
 
 (* Refresh one switch's cached load after its pool changed, and the
    fleet-wide occupancy gauge from the running aggregates. *)
@@ -60,7 +81,7 @@ let touch_switch t sw =
   let u = Allocator.utilization (Controller.allocator t.nodes.(sw).controller) in
   let old = t.util.(sw) in
   t.util.(sw) <- u;
-  Telemetry.set_gauge t.tel (sw_counter sw "utilization") u;
+  Telemetry.set_gauge t.tel t.names.(sw).sn_utilization u;
   if not t.down.(sw) then t.up_sum <- t.up_sum -. old +. u;
   Telemetry.set_gauge t.tel "fleet.occupancy"
     (if t.up_count = 0 then 0.0
@@ -98,7 +119,7 @@ let route t ~from msg =
     | Some hop ->
       if t.down.(hop) then unroutable ()
       else begin
-        Telemetry.incr t.tel "fleet.bridged";
+        Telemetry.bump t.bridged;
         let msg =
           match msg.Fabric.trace with
           | Some ctx when Trace.enabled t.tracer ->
@@ -184,6 +205,8 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
       up_sum = 0.0;
       up_count = n;
       tel = telemetry;
+      bridged = Telemetry.counter telemetry "fleet.bridged";
+      names = Array.init n sw_names;
       series;
       tracer;
     }
@@ -193,7 +216,7 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
   Array.iteri
     (fun s node ->
       Fabric.attach_default node.fabric (fun msg -> route t ~from:s msg);
-      Telemetry.set_gauge t.tel (sw_counter s "up") 1.0;
+      Telemetry.set_gauge t.tel t.names.(s).sn_up 1.0;
       touch_switch t s)
     nodes;
   t
@@ -353,9 +376,9 @@ let admit t ?client ~fid app =
         Hashtbl.replace t.shims fid shim;
         bind_placement t ~fid ~sw;
         Telemetry.incr t.tel "fleet.admitted";
-        Telemetry.incr t.tel (sw_counter sw "admitted");
+        Telemetry.incr t.tel t.names.(sw).sn_admitted;
         Timeseries.add t.series "fleet.admitted";
-        Timeseries.add t.series (sw_counter sw "admitted");
+        Timeseries.add t.series t.names.(sw).sn_admitted;
         if tried > 0 then begin
           Telemetry.incr t.tel "fleet.spillover";
           Timeseries.add t.series "fleet.spillover"
@@ -441,9 +464,9 @@ let commit_admission t pa ~sw =
     Tenant.charge reg ~fid:pa.pa_fid ~blocks:(pa_charge pa) ~stages
   | _ -> ());
   Telemetry.incr t.tel "fleet.admitted";
-  Telemetry.incr t.tel (sw_counter sw "admitted");
+  Telemetry.incr t.tel t.names.(sw).sn_admitted;
   Timeseries.add t.series "fleet.admitted";
-  Timeseries.add t.series (sw_counter sw "admitted");
+  Timeseries.add t.series t.names.(sw).sn_admitted;
   if pa.pa_tried <> [] then begin
     Telemetry.incr t.tel "fleet.spillover";
     Timeseries.add t.series "fleet.spillover"
@@ -791,8 +814,8 @@ let migrate t ~fid ~dst =
         shim_step t ~fid Shim.Extraction_done;
         Telemetry.incr t.tel "fleet.migrated";
         Timeseries.add t.series "fleet.migrated";
-        Telemetry.incr t.tel (sw_counter src "out");
-        Telemetry.incr t.tel (sw_counter dst "in");
+        Telemetry.incr t.tel t.names.(src).sn_out;
+        Telemetry.incr t.tel t.names.(dst).sn_in;
         outcome "fleet.migrated" [ ("switch", string_of_int dst) ];
         Ok ()
       end
@@ -840,7 +863,7 @@ let fail_switch t ~sw =
     (* Routing repairs around the dead switch: all its links go down and
        only the affected destinations of already-built tables recompute. *)
     ignore (Topology.isolate t.topo ~sw);
-    Telemetry.set_gauge t.tel (sw_counter sw "up") 0.0;
+    Telemetry.set_gauge t.tel t.names.(sw).sn_up 0.0;
     Telemetry.incr t.tel "fleet.failures";
     Timeseries.add t.series "fleet.failures";
     let evacuees = residents_of t ~sw in
@@ -904,8 +927,8 @@ let fail_switch t ~sw =
               shim_step t ~fid Shim.Extraction_done;
               Telemetry.incr t.tel "fleet.migrated";
         Timeseries.add t.series "fleet.migrated";
-              Telemetry.incr t.tel (sw_counter sw "out");
-              Telemetry.incr t.tel (sw_counter dst "in");
+              Telemetry.incr t.tel t.names.(sw).sn_out;
+              Telemetry.incr t.tel t.names.(dst).sn_in;
               (match trace with
               | Some ctx ->
                 ignore

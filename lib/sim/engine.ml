@@ -6,7 +6,9 @@ type t = {
   queue : event Stdx.Heap.t;
   mutable clock : float;
   mutable next_seq : int;
-  tel : Telemetry.t;
+  scheduled : Telemetry.counter;
+  processed : Telemetry.counter;
+  depth : Telemetry.gauge;
 }
 
 let compare_events a b =
@@ -17,7 +19,9 @@ let create ?(telemetry = Telemetry.default) () =
     queue = Stdx.Heap.create ~cmp:compare_events;
     clock = 0.0;
     next_seq = 0;
-    tel = telemetry;
+    scheduled = Telemetry.counter telemetry "sim.events.scheduled";
+    processed = Telemetry.counter telemetry "sim.events.processed";
+    depth = Telemetry.gauge telemetry "sim.queue_depth";
   }
 
 let now t = t.clock
@@ -26,7 +30,7 @@ let schedule_at t ~time thunk =
   let time = Float.max time t.clock in
   Stdx.Heap.push t.queue { time; seq = t.next_seq; thunk };
   t.next_seq <- t.next_seq + 1;
-  Telemetry.incr t.tel "sim.events.scheduled"
+  Telemetry.bump t.scheduled
 
 let schedule t ~delay thunk = schedule_at t ~time:(t.clock +. delay) thunk
 
@@ -35,9 +39,8 @@ let step t =
   | None -> false
   | Some e ->
     t.clock <- e.time;
-    Telemetry.incr t.tel "sim.events.processed";
-    Telemetry.set_gauge t.tel "sim.queue_depth"
-      (float_of_int (Stdx.Heap.length t.queue));
+    Telemetry.bump t.processed;
+    Telemetry.set t.depth (float_of_int (Stdx.Heap.length t.queue));
     e.thunk ();
     true
 

@@ -8,7 +8,9 @@ type t
 val create : ?telemetry:Activermt_telemetry.Telemetry.t -> unit -> t
 (** [telemetry] (default [Telemetry.default]) counts
     [sim.events.scheduled] / [sim.events.processed] and tracks the
-    [sim.queue_depth] gauge as events fire. *)
+    [sim.queue_depth] gauge as events fire.  The three handles are looked
+    up here, once, so an event costs two counter bumps and one unboxed
+    gauge write; none appears in a dump before the first event. *)
 
 val now : t -> float
 (** Current simulated time in seconds. *)

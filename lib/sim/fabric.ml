@@ -17,6 +17,9 @@ type msg = { src : address; dst : address; payload : payload; trace : Trace.ctx 
 
 let msg ?trace ~src ~dst payload = { src; dst; payload; trace }
 
+(* Per-node traffic counters: [sim.node.<addr>.tx] / [.rx]. *)
+type node_counters = { tx : Telemetry.counter; rx : Telemetry.counter }
+
 type t = {
   engine : Engine.t;
   controller : Controller.t;
@@ -31,7 +34,13 @@ type t = {
   jit : Activermt.Jit.t;
   mutable drops : int;
   mutable lost : int;
+  pass_s : float;  (* switch latency per pipeline traversed *)
   tel : Telemetry.t;
+  c_sent : Telemetry.counter;
+  c_delivered : Telemetry.counter;
+  c_lost : Telemetry.counter;
+  c_dropped : Telemetry.counter;
+  node_tel : (address, node_counters) Hashtbl.t;
   tracer : Trace.t;
 }
 
@@ -64,7 +73,16 @@ let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
         (Controller.tables controller);
     drops = 0;
     lost = 0;
+    pass_s =
+      1.0e-6
+      *. (Rmt.Device.params (Controller.device controller))
+           .Rmt.Params.pass_latency_us;
     tel = telemetry;
+    c_sent = Telemetry.counter telemetry "sim.packets.sent";
+    c_delivered = Telemetry.counter telemetry "sim.packets.delivered";
+    c_lost = Telemetry.counter telemetry "sim.packets.lost";
+    c_dropped = Telemetry.counter telemetry "sim.packets.dropped";
+    node_tel = Hashtbl.create 16;
     tracer;
   }
 
@@ -82,6 +100,22 @@ let attach t addr handler =
 let attach_default t handler = t.default_node <- Some handler
 
 let register_fid t ~fid ~owner = Hashtbl.replace t.owners fid owner
+
+(* A node's counter names are formatted the first time its address is
+   seen, never per packet. *)
+let node_counters t addr =
+  match Hashtbl.find t.node_tel addr with
+  | c -> c
+  | exception Not_found ->
+    let name dir = Printf.sprintf "sim.node.%d.%s" addr dir in
+    let c =
+      {
+        tx = Telemetry.counter t.tel (name "tx");
+        rx = Telemetry.counter t.tel (name "rx");
+      }
+    in
+    Hashtbl.add t.node_tel addr c;
+    c
 
 (* ---- Trace plumbing ----
    A message carries its trace context; each hop chains a child event so
@@ -124,7 +158,7 @@ let lossy t m =
 
 let count_lost t =
   t.lost <- t.lost + 1;
-  Telemetry.incr t.tel "sim.packets.lost"
+  Telemetry.bump t.c_lost
 
 (* Corruption damages the capsule's on-the-wire bytes; the receiving
    parser verifies the frame checksum and discards on mismatch.  A
@@ -206,13 +240,13 @@ let deliver t m ~delay =
     hop t m ~delay ~event:"sim.deliver" (fun m ->
         match Hashtbl.find_opt t.nodes m.dst with
         | Some handler ->
-          Telemetry.incr t.tel "sim.packets.delivered";
-          Telemetry.incr t.tel (Printf.sprintf "sim.node.%d.rx" m.dst);
+          Telemetry.bump t.c_delivered;
+          Telemetry.bump (node_counters t m.dst).rx;
           handler m
         | None -> (
           match t.default_node with
           | Some handler ->
-            Telemetry.incr t.tel "sim.packets.delivered";
+            Telemetry.bump t.c_delivered;
             handler m
           | None -> ()))
 
@@ -241,6 +275,24 @@ let decision_string r =
       | Activermt.Runtime.Explicit_drop -> "drop"
     in
     "dropped:" ^ why
+
+(* The [device.exec] span's attrs; admit.* link the data plane back to
+   the control-plane provision span that placed this program. *)
+let exec_attrs t pkt =
+  let fid = pkt.Activermt.Packet.fid in
+  let jit_attr =
+    ("jit", if Activermt.Jit.would_specialize t.jit pkt then "true" else "false")
+  in
+  match Controller.admit_trace t.controller ~fid with
+  | None -> [ sw_attr t; ("fid", string_of_int fid); jit_attr ]
+  | Some a ->
+    [
+      sw_attr t;
+      ("fid", string_of_int fid);
+      jit_attr;
+      ("admit.trace_id", string_of_int a.Trace.trace_id);
+      ("admit.span_id", string_of_int a.Trace.span_id);
+    ]
 
 let at_switch t m =
   match m.payload with
@@ -322,28 +374,14 @@ let at_switch t m =
         deliver t m ~delay:t.wire_latency_s
       else begin
         (* Execute under a device.exec span; per-stage events (gated
-           behind the Stages verbosity) and the result hang off it, and
-           admit.* attrs link the data plane back to the control-plane
-           provision span that placed this program. *)
-        let exec_attrs =
-          let jit_attr =
-            ( "jit",
-              if Activermt.Jit.would_specialize t.jit pkt then "true"
-              else "false" )
-          in
-          match Controller.admit_trace t.controller ~fid with
-          | None -> [ sw_attr t; ("fid", string_of_int fid); jit_attr ]
-          | Some a ->
-            [
-              sw_attr t;
-              ("fid", string_of_int fid);
-              jit_attr;
-              ("admit.trace_id", string_of_int a.Trace.trace_id);
-              ("admit.span_id", string_of_int a.Trace.span_id);
-            ]
+           behind the Stages verbosity) and the result hang off it.
+           Untraced capsules build no attrs. *)
+        let ctx = tr_on t m in
+        let attrs =
+          match ctx with None -> None | Some _ -> Some (exec_attrs t pkt)
         in
         let r, exec_ctx =
-          Trace.with_span t.tracer (tr_on t m) ~attrs:exec_attrs "device.exec"
+          Trace.with_span t.tracer ctx ?attrs "device.exec"
           @@ fun ec ->
           let on_event =
             match ec with
@@ -379,12 +417,7 @@ let at_switch t m =
           | _ -> ());
           (r, ec)
         in
-        let params = Rmt.Device.params (Controller.device t.controller) in
-        let proc_s =
-          1.0e-6
-          *. params.Rmt.Params.pass_latency_us
-          *. float_of_int r.Activermt.Runtime.pipelines
-        in
+        let proc_s = t.pass_s *. float_of_int r.Activermt.Runtime.pipelines in
         (match exec_ctx with
         | None -> ()
         | Some c ->
@@ -420,7 +453,7 @@ let at_switch t m =
         match r.Activermt.Runtime.decision with
         | Activermt.Runtime.Dropped _ ->
           t.drops <- t.drops + 1;
-          Telemetry.incr t.tel "sim.packets.dropped";
+          Telemetry.bump t.c_dropped;
           (match exec_ctx with
           | None -> ()
           | Some c ->
@@ -450,8 +483,8 @@ let send t m =
     count_lost t
   end
   else begin
-    Telemetry.incr t.tel "sim.packets.sent";
-    Telemetry.incr t.tel (Printf.sprintf "sim.node.%d.tx" m.src);
+    Telemetry.bump t.c_sent;
+    Telemetry.bump (node_counters t m.src).tx;
     hop t m ~delay:t.wire_latency_s ~event:"sim.hop" (at_switch t)
   end
 

@@ -88,7 +88,11 @@ val create :
 
     [telemetry] (default [Telemetry.default]) counts fabric traffic:
     [sim.packets.sent/delivered/lost/dropped] plus per-node
-    [sim.node.<addr>.tx]/[sim.node.<addr>.rx].
+    [sim.node.<addr>.tx]/[sim.node.<addr>.rx].  Every per-packet count
+    goes through a {!Activermt_telemetry.Telemetry.counter} handle: the
+    four packet handles are looked up here, and a node's pair the first
+    time its address is seen, so no metric name is formatted or hashed
+    per packet.  A counter that never fires stays out of the dumps.
 
     [tracer] (default [Trace.noop]) records per-capsule causal events:
     [capsule.inject], [sim.hop]/[sim.deliver] ([sim.enqueue] at Stages
@@ -99,7 +103,9 @@ val create :
     [device.stage]/[device.result]/[device.drop] children linked to the
     admitting [control.provision] span via [admit.*] attrs.  Share one
     tracer (and its clock, wired to [Engine.now]) across every fabric of
-    a fleet so traces follow capsules between switches. *)
+    a fleet so traces follow capsules between switches.  Attributes are
+    built only for traced capsules: an untraced one pays a pointer test
+    per hop and nothing for its [device.exec] span. *)
 
 val engine : t -> Engine.t
 val controller : t -> Activermt_control.Controller.t

@@ -1,6 +1,15 @@
-type cell = Counter of int ref | Gauge of float ref | Hist of Sketch.t
+(* A gauge's value sits in an all-float record, which OCaml stores flat:
+   setting it writes the double in place and allocates nothing.  The
+   [touched] flags keep cells that were looked up but never recorded out
+   of every read and dump, and let [reset] clear cells in place so the
+   handles components hold keep working. *)
+type value = { mutable v : float }
+type counter = { mutable n : int; mutable c_touched : bool }
+type gauge = { value : value; mutable g_touched : bool }
+type cell = Counter of counter | Gauge of gauge | Hist of Sketch.t
 
 type t = {
+  live : bool;  (* false only for [noop] *)
   cells : (string, cell) Hashtbl.t;
   mutable stack : (string * float) list; (* open spans: name, start time *)
   now : unit -> float;
@@ -8,45 +17,77 @@ type t = {
 
 let create ?now () =
   let now = match now with Some f -> f | None -> Unix.gettimeofday in
-  { cells = Hashtbl.create 64; stack = []; now }
+  { live = true; cells = Hashtbl.create 64; stack = []; now }
 
 let default = create ()
+let noop = { live = false; cells = Hashtbl.create 1; stack = []; now = (fun () -> 0.0) }
 
 let kind_error name got =
   invalid_arg
     (Printf.sprintf "Telemetry: metric %S already registered as a %s" name got)
 
-let incr t ?(by = 1) name =
-  match Hashtbl.find_opt t.cells name with
-  | Some (Counter r) -> r := !r + by
-  | Some (Gauge _) -> kind_error name "gauge"
-  | Some (Hist _) -> kind_error name "histogram"
-  | None -> Hashtbl.add t.cells name (Counter (ref by))
+let new_counter () = { n = 0; c_touched = false }
+let new_gauge () = { value = { v = 0.0 }; g_touched = false }
 
-let set_gauge t name v =
-  match Hashtbl.find_opt t.cells name with
-  | Some (Gauge g) -> g := v
-  | Some (Counter _) -> kind_error name "counter"
-  | Some (Hist _) -> kind_error name "histogram"
-  | None -> Hashtbl.add t.cells name (Gauge (ref v))
+(* -- Handles -------------------------------------------------------------- *)
+
+let counter t name =
+  if not t.live then new_counter ()
+  else
+    match Hashtbl.find_opt t.cells name with
+    | Some (Counter c) -> c
+    | Some (Gauge _) -> kind_error name "gauge"
+    | Some (Hist _) -> kind_error name "histogram"
+    | None ->
+      let c = new_counter () in
+      Hashtbl.add t.cells name (Counter c);
+      c
+
+let gauge t name =
+  if not t.live then new_gauge ()
+  else
+    match Hashtbl.find_opt t.cells name with
+    | Some (Gauge g) -> g
+    | Some (Counter _) -> kind_error name "counter"
+    | Some (Hist _) -> kind_error name "histogram"
+    | None ->
+      let g = new_gauge () in
+      Hashtbl.add t.cells name (Gauge g);
+      g
+
+let add c by =
+  c.n <- c.n + by;
+  c.c_touched <- true
+
+let bump c = add c 1
+
+let set g v =
+  g.value.v <- v;
+  g.g_touched <- true
+
+(* -- Recording by name (cold paths) --------------------------------------- *)
+
+let incr t ?(by = 1) name = if t.live then add (counter t name) by
+let set_gauge t name v = if t.live then set (gauge t name) v
 
 let observe t name v =
-  match Hashtbl.find_opt t.cells name with
-  | Some (Hist h) -> Sketch.record h v
-  | Some (Counter _) -> kind_error name "counter"
-  | Some (Gauge _) -> kind_error name "gauge"
-  | None ->
-    let h = Sketch.create () in
-    Sketch.record h v;
-    Hashtbl.add t.cells name (Hist h)
+  if t.live then
+    match Hashtbl.find_opt t.cells name with
+    | Some (Hist h) -> Sketch.record h v
+    | Some (Counter _) -> kind_error name "counter"
+    | Some (Gauge _) -> kind_error name "gauge"
+    | None ->
+      let h = Sketch.create () in
+      Sketch.record h v;
+      Hashtbl.add t.cells name (Hist h)
 
 (* -- Spans ---------------------------------------------------------------- *)
 
-let span_begin t name = t.stack <- (name, t.now ()) :: t.stack
+let span_begin t name = if t.live then t.stack <- (name, t.now ()) :: t.stack
 
 let span_end t =
   match t.stack with
-  | [] -> invalid_arg "Telemetry.span_end: no open span"
+  | [] -> if t.live then invalid_arg "Telemetry.span_end: no open span"
   | (name, t0) :: rest ->
     t.stack <- rest;
     observe t name (t.now () -. t0)
@@ -58,13 +99,19 @@ let with_span t name f =
 (* -- Reads ---------------------------------------------------------------- *)
 
 let counter_value t name =
-  match Hashtbl.find_opt t.cells name with Some (Counter r) -> !r | _ -> 0
+  match Hashtbl.find_opt t.cells name with Some (Counter c) -> c.n | _ -> 0
 
 let gauge_value t name =
-  match Hashtbl.find_opt t.cells name with Some (Gauge g) -> Some !g | _ -> None
+  match Hashtbl.find_opt t.cells name with
+  | Some (Gauge g) when g.g_touched -> Some g.value.v
+  | _ -> None
 
+(* A histogram cell exists only after its first observation; [reset]
+   empties it in place, and an empty one reads as absent. *)
 let hist_of t name =
-  match Hashtbl.find_opt t.cells name with Some (Hist h) -> Some h | _ -> None
+  match Hashtbl.find_opt t.cells name with
+  | Some (Hist h) when h.Sketch.count > 0 -> Some h
+  | _ -> None
 
 type hist_summary = {
   count : int;
@@ -107,14 +154,35 @@ let sorted_cells t ~f =
     t.cells []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let counters t = sorted_cells t ~f:(function Counter r -> Some !r | _ -> None)
-let gauges t = sorted_cells t ~f:(function Gauge g -> Some !g | _ -> None)
+let counters t =
+  sorted_cells t ~f:(function
+    | Counter c when c.c_touched -> Some c.n
+    | _ -> None)
+
+let gauges t =
+  sorted_cells t ~f:(function
+    | Gauge g when g.g_touched -> Some g.value.v
+    | _ -> None)
 
 let histograms t =
-  sorted_cells t ~f:(function Hist h -> Some (summary_of_hist h) | _ -> None)
+  sorted_cells t ~f:(function
+    | Hist h when h.Sketch.count > 0 -> Some (summary_of_hist h)
+    | _ -> None)
 
+(* Cells stay registered (so do their kinds): handles held by components
+   keep recording into the same cells after a reset. *)
 let reset t =
-  Hashtbl.reset t.cells;
+  Hashtbl.iter
+    (fun _ cell ->
+      match cell with
+      | Counter c ->
+        c.n <- 0;
+        c.c_touched <- false
+      | Gauge g ->
+        g.value.v <- 0.0;
+        g.g_touched <- false
+      | Hist h -> Sketch.clear h)
+    t.cells;
   t.stack <- []
 
 (* -- Dumps ---------------------------------------------------------------- *)

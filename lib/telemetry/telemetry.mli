@@ -1,9 +1,12 @@
 (** Dependency-light metrics registry: counters, gauges, log-bucketed
     latency histograms, and span timers.
 
-    One registry is one hash table written by one thread of control:
-    recording is a lookup plus an in-place cell update, and a gauge is a
-    plain last write.
+    One registry is one hash table of cells written by one thread of
+    control, and a gauge is a plain last write.  Recording by name is a
+    lookup plus an in-place cell update; a {!counter} or {!gauge} handle
+    skips the lookup, so recording through it is a field update.
+    Per-event and per-packet code looks its handles up once and records
+    through them; the by-name calls are for cold paths.
 
     Histograms are {!Sketch}es: no samples are stored, percentiles carry
     at most ~4.4% relative error over [[2^-32, 2^32)] and are clamped to
@@ -28,7 +31,32 @@ val default : t
 (** The process-wide registry that instrumented components record into
     unless handed a specific one. *)
 
-(** {2 Recording (hot path)} *)
+val noop : t
+(** A registry that records nothing: its handles are detached cells,
+    by-name recording and spans do nothing (beyond running the spanned
+    function), and every read and dump is empty. *)
+
+(** {2 Handles (hot path)} *)
+
+type counter
+type gauge
+
+val counter : t -> string -> counter
+(** The registry's cell for counter [name], registered if new.  The
+    handle and {!incr} update the same cell.  A cell that was looked up
+    but never recorded is absent from every read and dump.
+    @raise Invalid_argument if [name] is another kind of metric. *)
+
+val gauge : t -> string -> gauge
+(** Likewise for gauge [name]; the value is stored unboxed, so {!set}
+    allocates nothing. *)
+
+val bump : counter -> unit
+(** Add one. *)
+
+val set : gauge -> float -> unit
+
+(** {2 Recording by name} *)
 
 val incr : t -> ?by:int -> string -> unit
 val set_gauge : t -> string -> float -> unit
@@ -86,7 +114,11 @@ val gauges : t -> (string * float) list
 val histograms : t -> (string * hist_summary) list
 
 val reset : t -> unit
-(** Forget every metric and open span. *)
+(** Clear every metric's value and every open span: afterwards each
+    counter reads 0 and each histogram [None], and no metric appears in
+    a dump until recorded again.  Cells are cleared in place, so handles
+    taken before the reset keep recording into the registry, and each
+    name keeps its kind. *)
 
 (** {2 Dumps} *)
 

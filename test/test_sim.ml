@@ -287,6 +287,87 @@ let test_memsync_driver_over_lossy_fabric () =
     stages;
   Alcotest.(check bool) "loss actually occurred" true (Fabric.stats_lost fabric > 0)
 
+(* -- Telemetry names ------------------------------------------------------ *)
+
+module Telemetry = Activermt_telemetry.Telemetry
+
+(* A small fixed run: admit a cache for client 10, then populate (RTS
+   back to 10), query a hit (RTS), query a miss (on to server 20), send a
+   DROP program and one plain request from an unattached address 40.
+   The full counter listing is pinned, so a renamed, missing or extra
+   metric (including a zero row for a counter that never fired, such as
+   [sim.packets.lost] here) fails. *)
+let fabric_golden_counters () =
+  let tel = Telemetry.create () in
+  let engine = Engine.create ~telemetry:tel () in
+  let controller =
+    Controller.create ~mode:`Interactive ~telemetry:tel (Rmt.Device.create params)
+  in
+  let fabric = Fabric.create ~telemetry:tel ~engine ~controller () in
+  let regions = ref None in
+  Fabric.attach fabric 10 (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active pkt -> (
+        match Negotiate.granted_regions pkt with
+        | Some r -> regions := Some r
+        | None -> ())
+      | _ -> ());
+  Fabric.attach fabric 20 (fun _ -> ());
+  let send src dst payload =
+    Fabric.send fabric { Fabric.src; dst; payload; trace = None };
+    Engine.run engine
+  in
+  send 10 Fabric.switch_address
+    (Fabric.Active (Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service));
+  let cc =
+    match
+      Activermt_client.Cache_client.create params
+        ~policy:Activermt_compiler.Mutant.Most_constrained ~fid:1
+        ~regions:(Option.get !regions)
+    with
+    | Ok cc -> cc
+    | Error e -> Alcotest.fail e
+  in
+  let module Cc = Activermt_client.Cache_client in
+  let key = Workload.Kv.key_of_rank 3 in
+  send 10 20 (Fabric.Active (Cc.populate_packet cc ~seq:1 key ~value:5));
+  send 10 20 (Fabric.Active (Cc.query_packet cc ~seq:2 key));
+  send 10 20 (Fabric.Active (Cc.query_packet cc ~seq:3 (Workload.Kv.key_of_rank 9)));
+  let dropper =
+    Activermt.Program.v
+      (Activermt.Program.plain [ Activermt.Instr.Drop; Activermt.Instr.Return ])
+  in
+  send 10 20 (Fabric.Active (Pkt.exec ~fid:1 ~seq:4 ~args:[||] dropper));
+  send 40 20 (Fabric.Kv_request { key });
+  Activermt.Jit.flush_stats (Fabric.jit fabric);
+  Telemetry.counters tel
+
+let test_fabric_counter_golden () =
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("alloc.admitted", 1);
+      ("alloc.enumerate.miss", 1);
+      ("alloc.mutants.considered", 10);
+      ("alloc.mutants.feasible", 10);
+      ("alloc.reallocated", 0);
+      ("control.provisions", 1);
+      ("jit.compile", 3);
+      ("jit.hit", 1);
+      ("jit.invalidate", 0);
+      ("jit.miss", 3);
+      ("sim.events.processed", 11);
+      ("sim.events.scheduled", 11);
+      ("sim.node.10.rx", 3);
+      ("sim.node.10.tx", 5);
+      ("sim.node.20.rx", 2);
+      ("sim.node.40.tx", 1);
+      ("sim.packets.delivered", 5);
+      ("sim.packets.dropped", 1);
+      ("sim.packets.sent", 6);
+    ]
+    (fabric_golden_counters ())
+
 let () =
   Alcotest.run "sim"
     [
@@ -309,4 +390,6 @@ let () =
           Alcotest.test_case "memsync over loss" `Quick test_memsync_driver_over_lossy_fabric;
           Alcotest.test_case "release" `Quick test_fabric_release;
         ] );
+      ( "telemetry",
+        [ Alcotest.test_case "counter golden" `Quick test_fabric_counter_golden ] );
     ]

@@ -45,6 +45,142 @@ let test_reset () =
   Alcotest.(check bool) "histogram cleared" true
     (Telemetry.hist_summary t "h" = None)
 
+(* -- Handles -------------------------------------------------------------- *)
+
+let contains hay needle =
+  let nl = String.length needle and l = String.length hay in
+  let rec go i = i + nl <= l && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let test_handle_shares_cell () =
+  let t = Telemetry.create () in
+  let c = Telemetry.counter t "c" in
+  Telemetry.bump c;
+  Alcotest.(check int) "handle -> by name" 1 (Telemetry.counter_value t "c");
+  Telemetry.incr t "c" ~by:4;
+  Telemetry.bump c;
+  Alcotest.(check int) "by name -> handle" 6 (Telemetry.counter_value t "c");
+  Telemetry.bump (Telemetry.counter t "c");
+  Alcotest.(check (list (pair string int))) "a second lookup is the same cell"
+    [ ("c", 7) ] (Telemetry.counters t);
+  let g = Telemetry.gauge t "g" in
+  Telemetry.set g 2.5;
+  Alcotest.(check (option (float 0.0))) "gauge handle -> by name" (Some 2.5)
+    (Telemetry.gauge_value t "g");
+  Telemetry.set_gauge t "g" 4.0;
+  Alcotest.(check (option (float 0.0))) "by name overwrites the handle's cell"
+    (Some 4.0) (Telemetry.gauge_value t "g");
+  Telemetry.set g 1.0;
+  Alcotest.(check (list (pair string (float 0.0)))) "one gauge row"
+    [ ("g", 1.0) ] (Telemetry.gauges t)
+
+let test_handle_kind_mismatch () =
+  let t = Telemetry.create () in
+  Telemetry.incr t "m";
+  Telemetry.observe t "h" 1.0;
+  ignore (Telemetry.gauge t "g");
+  Alcotest.check_raises "gauge handle on a counter"
+    (Invalid_argument "Telemetry: metric \"m\" already registered as a counter")
+    (fun () -> ignore (Telemetry.gauge t "m"));
+  Alcotest.check_raises "counter handle on a histogram"
+    (Invalid_argument "Telemetry: metric \"h\" already registered as a histogram")
+    (fun () -> ignore (Telemetry.counter t "h"));
+  Alcotest.check_raises "incr on a gauge handle's name"
+    (Invalid_argument "Telemetry: metric \"g\" already registered as a gauge")
+    (fun () -> Telemetry.incr t "g")
+
+let test_unrecorded_handle_invisible () =
+  let t = Telemetry.create () in
+  let _c = Telemetry.counter t "never.counted" in
+  let _g = Telemetry.gauge t "never.set" in
+  Telemetry.incr t "seen";
+  Alcotest.(check (list (pair string int))) "counters" [ ("seen", 1) ]
+    (Telemetry.counters t);
+  Alcotest.(check int) "no gauges" 0 (List.length (Telemetry.gauges t));
+  Alcotest.(check (option (float 0.0))) "gauge read" None
+    (Telemetry.gauge_value t "never.set");
+  let json = Telemetry.dump_json t and prom = Telemetry.dump_prometheus t in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("json omits " ^ name) false (contains json name);
+      Alcotest.(check bool)
+        ("prometheus omits " ^ name)
+        false
+        (contains prom (Telemetry.prom_name name)))
+    [ "never.counted"; "never.set" ];
+  (* A zero-by increment is a record: the row appears with value 0. *)
+  Telemetry.incr t "never.counted" ~by:0;
+  Alcotest.(check (list (pair string int))) "seeded row"
+    [ ("never.counted", 0); ("seen", 1) ]
+    (Telemetry.counters t)
+
+let test_reset_keeps_handles () =
+  let t = Telemetry.create () in
+  let c = Telemetry.counter t "sim.packets.sent" in
+  let g = Telemetry.gauge t "sim.queue_depth" in
+  Telemetry.incr t "sim.packets.sent" ~by:3;
+  Telemetry.set g 2.0;
+  Telemetry.reset t;
+  Alcotest.(check int) "cleared" 0 (Telemetry.counter_value t "sim.packets.sent");
+  Alcotest.(check (list (pair string int))) "no rows" [] (Telemetry.counters t);
+  Alcotest.(check (option (float 0.0))) "gauge cleared" None
+    (Telemetry.gauge_value t "sim.queue_depth");
+  Telemetry.bump c;
+  Alcotest.(check int) "handle still records" 1
+    (Telemetry.counter_value t "sim.packets.sent");
+  Alcotest.(check bool) "and dumps" true
+    (contains (Telemetry.dump_json t) {|"sim.packets.sent": 1|});
+  Telemetry.set g 5.0;
+  Alcotest.(check (option (float 0.0))) "gauge handle still records" (Some 5.0)
+    (Telemetry.gauge_value t "sim.queue_depth")
+
+let test_gauge_set_no_alloc () =
+  let t = Telemetry.create () in
+  let g = Telemetry.gauge t "g" in
+  (* The values are boxed before measuring: without cross-module inlining
+     (dune's dev profile compiles with -opaque) a caller boxes any float
+     it passes to another module, and that box belongs to the call, not
+     to the gauge.  What is measured is the set itself. *)
+  let values = List.init 100 float_of_int in
+  let rec set_all = function
+    | [] -> ()
+    | v :: rest ->
+      Telemetry.set g v;
+      set_all rest
+  in
+  (* The two reads' own boxed results are the baseline. *)
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let overhead = w1 -. w0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    set_all values
+  done;
+  let w1 = Gc.minor_words () in
+  check_float "minor words over 10k sets" 0.0 (w1 -. w0 -. overhead);
+  Alcotest.(check (option (float 0.0))) "last value" (Some 99.0)
+    (Telemetry.gauge_value t "g")
+
+let test_noop () =
+  let t = Telemetry.noop in
+  Telemetry.bump (Telemetry.counter t "c");
+  Telemetry.incr t "c";
+  Telemetry.set_gauge t "g" 1.0;
+  Telemetry.set (Telemetry.gauge t "g") 1.0;
+  Telemetry.observe t "h" 1.0;
+  Alcotest.(check int) "spanned function runs" 7
+    (Telemetry.with_span t "s" (fun () -> 7));
+  Telemetry.span_begin t "s";
+  Telemetry.span_end t;
+  Alcotest.(check int) "reads empty" 0 (Telemetry.counter_value t "c");
+  Alcotest.(check bool) "no histogram" true (Telemetry.hist_summary t "s" = None);
+  Alcotest.(check (list (pair string int))) "no counters" [] (Telemetry.counters t);
+  Alcotest.(check int) "no gauges" 0 (List.length (Telemetry.gauges t));
+  Alcotest.(check string) "empty prometheus" "" (Telemetry.dump_prometheus t);
+  Alcotest.(check bool) "empty json" true
+    (Telemetry.json_of t
+    = Json.Obj [ ("counters", Json.Obj []); ("gauges", Json.Obj []); ("histograms", Json.Obj []) ])
+
 (* -- Histogram accuracy vs a sorted-sample oracle ------------------------- *)
 
 (* Log buckets at 8 per octave give a worst-case relative error of
@@ -419,6 +555,17 @@ let () =
           Alcotest.test_case "gauge last write" `Quick test_gauge_last_write_wins;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "reset" `Quick test_reset;
+        ] );
+      ( "handles",
+        [
+          Alcotest.test_case "shared cell" `Quick test_handle_shares_cell;
+          Alcotest.test_case "kind mismatch" `Quick test_handle_kind_mismatch;
+          Alcotest.test_case "unrecorded is invisible" `Quick
+            test_unrecorded_handle_invisible;
+          Alcotest.test_case "reset keeps handles" `Quick test_reset_keeps_handles;
+          Alcotest.test_case "gauge set allocates nothing" `Quick
+            test_gauge_set_no_alloc;
+          Alcotest.test_case "noop registry" `Quick test_noop;
         ] );
       ( "histograms",
         [
