@@ -328,6 +328,78 @@ let test_monitor_report_determinism () =
     Alcotest.(check (option bool)) "paged report is unhealthy" (Some false)
       (Option.bind (Json.member "healthy" j) Json.to_bool))
 
+(* -- Healthcheck golden ------------------------------------------------------ *)
+
+(* The quick healthcheck's full series dump, pinned.  The MD5 catches any
+   byte that moves; the per-series list names the series that moved. *)
+let healthcheck_series_golden =
+  [
+    ("alloc.admitted", `Counter, 8, 627, 2456.0);
+    ("alloc.rejected", `Counter, 7, 181, 7218.0);
+    ("chaos.completed", `Counter, 1, 16, 16.0);
+    ("chaos.services", `Counter, 1, 16, 16.0);
+    ("control.provisions", `Counter, 8, 627, 2456.0);
+    ("control.queue_depth", `Dist, 7, 181, 9228.0);
+    ("control.rejections", `Counter, 7, 181, 7218.0);
+    ("fleet.admitted", `Counter, 6, 1500, 1500.0);
+    ("fleet.failures", `Counter, 2, 2, 2.0);
+    ("fleet.migrated", `Counter, 2, 430, 430.0);
+    ("fleet.offered", `Counter, 6, 6, 1500.0);
+    ("fleet.spillover", `Counter, 3, 12, 12.0);
+    ("fleet.sw.0.admitted", `Counter, 6, 208, 208.0);
+    ("fleet.sw.1.admitted", `Counter, 3, 7, 7.0);
+    ("fleet.sw.16.admitted", `Counter, 6, 214, 214.0);
+    ("fleet.sw.24.admitted", `Counter, 6, 211, 211.0);
+    ("fleet.sw.25.admitted", `Counter, 2, 3, 3.0);
+    ("fleet.sw.32.admitted", `Counter, 6, 214, 214.0);
+    ("fleet.sw.40.admitted", `Counter, 6, 214, 214.0);
+    ("fleet.sw.48.admitted", `Counter, 6, 212, 212.0);
+    ("fleet.sw.49.admitted", `Counter, 1, 2, 2.0);
+    ("fleet.sw.8.admitted", `Counter, 6, 215, 215.0);
+    ("route.flap_frac", `Dist, 2, 2, 0.065185546875);
+    ("tenant.0.granted", `Counter, 1, 272, 272.0);
+    ("tenant.1.granted", `Counter, 4, 34, 34.0);
+    ("tenant.2.granted", `Counter, 4, 34, 34.0);
+    ("tenant.3.granted", `Counter, 4, 34, 34.0);
+    ("tenant.4.granted", `Counter, 4, 34, 34.0);
+    ("tenant.5.granted", `Counter, 4, 34, 34.0);
+    ("tenant.6.granted", `Counter, 4, 34, 34.0);
+    ("tenant.7.granted", `Counter, 4, 34, 34.0);
+    ("tenant.admit_latency_s", `Dist, 5, 510, 848.3294176000004);
+    ("tenant.deferrals", `Counter, 5, 22, 22.0);
+    ("tenant.denied", `Counter, 3, 408, 408.0);
+    ("tenant.evictions", `Counter, 6, 238, 238.0);
+    ("tenant.jain", `Dist, 1, 1, 1.0);
+    ("topology.flap", `Counter, 2, 2, 2.0);
+  ]
+
+let test_healthcheck_series_golden () =
+  let r = Experiments.Healthcheck.run Experiments.Healthcheck.quick_config in
+  let ts = Monitor.series r.Experiments.Healthcheck.monitor in
+  let got =
+    List.map
+      (fun name ->
+        let a = Timeseries.aggregate ts name in
+        ( name,
+          Option.get (Timeseries.kind_of ts name),
+          a.Timeseries.a_windows,
+          a.Timeseries.a_count,
+          a.Timeseries.a_sum ))
+      (Timeseries.names ts)
+  in
+  let row =
+    Alcotest.testable
+      (fun ppf (n, k, w, c, s) ->
+        Format.fprintf ppf "(%S, %s, %d, %d, %.17g)" n
+          (match k with `Counter -> "counter" | `Dist -> "dist")
+          w c s)
+      ( = )
+  in
+  Alcotest.(check (list row)) "series (name, kind, windows, count, sum)"
+    healthcheck_series_golden got;
+  Alcotest.(check string) "series dump MD5" "0a0a7db0bdb0e81067778336ac70895c"
+    (Digest.to_hex (Digest.string (Json.to_string (Timeseries.json_of ts))))
+
 let () =
   Alcotest.run "health"
     [
@@ -363,5 +435,10 @@ let () =
             test_monitor_series_sum_watchdog;
           Alcotest.test_case "report determinism" `Quick
             test_monitor_report_determinism;
+        ] );
+      ( "healthcheck",
+        [
+          Alcotest.test_case "series golden" `Quick
+            test_healthcheck_series_golden;
         ] );
     ]
