@@ -36,8 +36,10 @@ let params = Rmt.Params.default
 let seed = 4242
 
 (* The health plane a deployment would run over this workload: one
-   (generous) watchdog plus an admission-ratio SLO.  The registry clock
-   is rewired by the pipeline to its modeled epoch clock. *)
+   (generous) watchdog plus an admission-ratio SLO.  The pipeline
+   records on its modeled epoch clock through a view of this registry,
+   whose own clock stays at 0, so the SLOs are evaluated at the run's
+   final epoch time. *)
 let make_plane () =
   let series = Timeseries.create ~bucket_s:1.0 ~capacity:256 () in
   let mon = Monitor.create ~series () in
@@ -97,7 +99,9 @@ let run ~quick =
   done;
   let t_off, r_off = !best_off in
   let t_on, r_on, series, mon = !best_on in
-  let evals = Monitor.evaluate mon slos in
+  let evals =
+    Monitor.evaluate ~at:r_on.Churn_pipeline.modeled_span_s mon slos
+  in
   let pages = Monitor.page_count mon in
   let identical =
     r_off.Churn_pipeline.admitted = r_on.Churn_pipeline.admitted

@@ -402,8 +402,7 @@ let admit ?trace t (a : arrival) =
          "alloc.score"));
   match !best with
   | -1 ->
-    Telemetry.incr t.tel "alloc.rejected";
-    Timeseries.add t.series "alloc.rejected";
+    Telemetry.incr ~series:t.series t.tel "alloc.rejected";
     Telemetry.span_end t.tel (* alloc.admit *);
     (match tctx with
     | None -> ()
@@ -450,8 +449,7 @@ let admit ?trace t (a : arrival) =
       |> List.sort (fun x y -> compare x.stage y.stage)
     in
     Telemetry.span_end t.tel (* alloc.fill *);
-    Telemetry.incr t.tel "alloc.admitted";
-    Timeseries.add t.series "alloc.admitted";
+    Telemetry.incr ~series:t.series t.tel "alloc.admitted";
     Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length reallocated);
     Telemetry.span_end t.tel (* alloc.admit *);
     (match tctx with
@@ -751,10 +749,8 @@ let admit_batch ?trace t arrivals =
     in
     Telemetry.incr t.tel "alloc.mutants.considered" ~by:!c_considered;
     Telemetry.incr t.tel "alloc.mutants.feasible" ~by:!c_feasible;
-    Telemetry.incr t.tel "alloc.admitted" ~by:!c_admitted;
-    Telemetry.incr t.tel "alloc.rejected" ~by:!c_rejected;
-    Timeseries.add t.series ~by:(float_of_int !c_admitted) "alloc.admitted";
-    Timeseries.add t.series ~by:(float_of_int !c_rejected) "alloc.rejected";
+    Telemetry.incr ~series:t.series t.tel "alloc.admitted" ~by:!c_admitted;
+    Telemetry.incr ~series:t.series t.tel "alloc.rejected" ~by:!c_rejected;
     Telemetry.incr t.tel "alloc.batch.count";
     Telemetry.incr t.tel "alloc.batch.arrivals" ~by:batch_size;
     Telemetry.incr t.tel "alloc.batch.memo_hits" ~by:!memo_hits;

@@ -91,7 +91,11 @@ val create :
     [alloc.reallocated], [alloc.mutants.considered/feasible],
     [alloc.enumerate.hit/miss]) and per-phase spans ([alloc.admit] with
     nested [alloc.enumerate], [alloc.snapshot], [alloc.score],
-    [alloc.fill]; [alloc.depart]). *)
+    [alloc.fill]; [alloc.depart]).
+
+    [series] (default {!Timeseries.noop}) receives [alloc.admitted] and
+    [alloc.rejected] as counter series at the registry's clock, from the
+    same [Telemetry.incr ~series] call that bumps the counters. *)
 
 val params : t -> Rmt.Params.t
 val scheme : t -> scheme

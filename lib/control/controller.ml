@@ -338,8 +338,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
           ~entries_updated:0 ~apps_touched:0 ~words_snapshotted:0 ~notifications:1
       in
       t.log <- timing :: t.log;
-      Telemetry.incr t.tel "control.rejections";
-      Timeseries.add t.series "control.rejections";
+      Telemetry.incr ~series:t.series t.tel "control.rejections";
       Telemetry.span_end t.tel (* control.provision *);
       Error (`Rejected r)
     | Allocator.Admitted adm ->
@@ -361,8 +360,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
                   { new_fid = fid; waiting = impacted; deadline_s = t.extraction_timeout_s };
               Awaiting_extraction { impacted })
       in
-      Telemetry.incr t.tel "control.provisions";
-      Timeseries.add t.series "control.provisions";
+      Telemetry.incr ~series:t.series t.tel "control.provisions";
       let stats = Activermt.Table.update_stats t.tables in
       (* In interactive mode the table work happens at commit time, but we
          still charge it to this provisioning event: estimate entries from
@@ -564,15 +562,10 @@ let drain_epoch_auto t slots =
       ~entries_updated:entries ~words_snapshotted:words ~notifications:installs
   in
   t.log <- epoch_timing :: t.log;
-  Telemetry.incr t.tel ~by:(List.length admitted_fids) "control.provisions";
-  Telemetry.incr t.tel
-    ~by:batch.Allocator.stats.Allocator.batch_rejected
-    "control.rejections";
-  Timeseries.add t.series
-    ~by:(float_of_int (List.length admitted_fids))
+  Telemetry.incr ~series:t.series t.tel ~by:(List.length admitted_fids)
     "control.provisions";
-  Timeseries.add t.series
-    ~by:(float_of_int batch.Allocator.stats.Allocator.batch_rejected)
+  Telemetry.incr ~series:t.series t.tel
+    ~by:batch.Allocator.stats.Allocator.batch_rejected
     "control.rejections";
   (match ectx with
   | None -> ()

@@ -55,6 +55,12 @@ val create :
     {!Cost_model.breakdown}) — plus [control.provisions],
     [control.rejections] and [control.departures] counters.
 
+    [series] (default {!Timeseries.noop}) is shared with the embedded
+    allocator and receives [control.provisions] and
+    [control.rejections] (recorded with their counters by one
+    [Telemetry.incr ~series] call) and the [control.queue_depth] dist
+    series, all at the registry's clock.
+
     [tracer] (default {!Trace.noop}) is shared with the embedded
     allocator; when a request arrives with a trace context the
     provisioning phases are recorded as causal trace spans too. *)

@@ -95,6 +95,9 @@ let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
     in
     Controller.create ?cost ~mode:`Auto ~telemetry ~series ~tracer device
   in
+  (* The controller records at the caller's clock; the scenario's own
+     series land on the engine clock. *)
+  let series = Timeseries.with_clock series (fun () -> Engine.now engine) in
   let faults = Faults.create ~seed:cfg.seed ~telemetry cfg.profile in
   let fabric = Fabric.create ~faults ~jit:cfg.jit ~telemetry ~tracer ~engine ~controller () in
   let sink = 200 in
@@ -137,15 +140,15 @@ let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
     Telemetry.incr telemetry "chaos.fallback_words"
       ~by:(List.length survivors);
     svc.state <- St_fell_back;
-    Timeseries.add series ~t:(Engine.now engine) "chaos.completed";
-    Timeseries.add series ~t:(Engine.now engine) "chaos.fallbacks"
+    Timeseries.add series "chaos.completed";
+    Timeseries.add series "chaos.fallbacks"
   in
   let rec pump_sync svc () =
     match (svc.state, svc.driver) with
     | Syncing, Some driver ->
       if Memsync_driver.is_done driver then begin
         svc.state <- St_synced;
-        Timeseries.add series ~t:(Engine.now engine) "chaos.completed"
+        Timeseries.add series "chaos.completed"
       end
       else if
         Memsync_driver.exhausted driver = Memsync_driver.outstanding driver
@@ -246,7 +249,7 @@ let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
       Engine.schedule engine
         ~delay:(0.05 *. float_of_int (svc.fid - 1))
         (fun () ->
-          Timeseries.add series ~t:(Engine.now engine) "chaos.services";
+          Timeseries.add series "chaos.services";
           Negotiate.start svc.session ~now:(Engine.now engine)
             ~send:(nego_send svc);
           pump_nego svc ()))

@@ -61,6 +61,11 @@ val run :
 (** Also sets the [chaos.completion] gauge and [chaos.fallback_words] /
     [chaos.negotiation_timeouts] counters on [telemetry].
 
+    [series] (default {!Activermt_telemetry.Timeseries.noop}) receives
+    [chaos.services], [chaos.completed] and [chaos.fallbacks] through a
+    view on the engine clock; the controller's [control.*]/[alloc.*]
+    series stay on the registry's own clock.
+
     [tracer] (default [Trace.noop]) records causal traces: each service's
     [negotiate.session] and [memsync.sync] roots, with every capsule's
     fabric hops, fault verdicts and controller provisioning chained

@@ -43,6 +43,10 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
     ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
     ?(tracer = Trace.noop) ?(clock = Sys.time) ~params ~seed
     (zcfg : Churn.zipf_config) =
+  (* [now] is modeled control-plane time.  Every series this run
+     records, the allocator's included, lands on it. *)
+  let now = ref 0.0 in
+  let series = Timeseries.with_clock series (fun () -> !now) in
   let alloc = Allocator.create ?scheme ?policy ~telemetry ~series ~tracer params in
   let block_bytes = Rmt.Params.bytes_per_block params in
   let wpb = Rmt.Params.words_per_block params in
@@ -59,18 +63,13 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
   let departures = ref 0 in
   let n_epochs = ref 0 in
   let admit_wall = ref 0.0 in
-  (* Virtual clock: [now] is modeled control-plane time; [arrival_clock]
-     spaces arrivals at the offered rate.  The rate is adaptive — the
-     cumulative mean modeled service time per offered arrival, recomputed
-     every epoch after a short calibration window — so the offered load
-     tracks [offered_fraction] of what the control plane actually
-     sustains at steady state instead of the unloaded (empty-pool) rate
-     of the first few epochs.  Still a pure function of modeled values:
-     bit-identical across machines and reruns. *)
-  let now = ref 0.0 in
-  (* Allocator-level series (alloc.admitted/rejected) record through the
-     registry clock; wire it to the modeled epoch clock. *)
-  Timeseries.set_clock series (fun () -> !now);
+  (* [arrival_clock] spaces arrivals at the offered rate.  The rate is
+     adaptive — the cumulative mean modeled service time per offered
+     arrival, recomputed every epoch after a short calibration window —
+     so the offered load tracks [offered_fraction] of what the control
+     plane actually sustains at steady state instead of the unloaded
+     (empty-pool) rate of the first few epochs.  Still a pure function of
+     modeled values: bit-identical across machines and reruns. *)
   let arrival_clock = ref 0.0 in
   let arrivals_offered = ref 0 in
   let inter_arrival = ref 0.0 in
@@ -156,12 +155,10 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
       arrival_clock := !arrival_clock +. (float_of_int k *. !inter_arrival);
     arrivals_offered := !arrivals_offered + k;
     now := epoch_end;
-    Timeseries.add series ~t:!now ~by:(float_of_int k) "churn.offered";
-    Timeseries.add series ~t:!now
-      ~by:(float_of_int s.Allocator.batch_admitted)
+    Timeseries.add series ~by:(float_of_int k) "churn.offered";
+    Timeseries.add series ~by:(float_of_int s.Allocator.batch_admitted)
       "churn.admitted";
-    Timeseries.add series ~t:!now
-      ~by:(float_of_int s.Allocator.batch_rejected)
+    Timeseries.add series ~by:(float_of_int s.Allocator.batch_rejected)
       "churn.rejected";
     (* Departures drain sequentially after the admission commit; their
        (coalesced) table work advances the clock but does not delay the

@@ -59,4 +59,10 @@ val run :
   result
 (** [clock] (default [Sys.time]) feeds only the measured fields.  Pass a
     [tracer] to record per-epoch [churn.epoch] spans (head-sampled) with
-    the allocator's batch spans beneath them. *)
+    the allocator's batch spans beneath them.
+
+    [series] (default {!Timeseries.noop}) receives [churn.offered],
+    [churn.admitted] and [churn.rejected] per epoch, and the created
+    allocator's [alloc.admitted]/[alloc.rejected], all through one
+    {!Timeseries.with_clock} view on the modeled epoch clock; the
+    registry's own clock is left alone. *)

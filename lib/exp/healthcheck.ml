@@ -99,8 +99,9 @@ type result = {
 let run ?(log = ignore) cfg =
   (* One virtual clock drives every fleet-phase series bucket: it ticks
      one bucket per admission drain round / drill step.  Chaos and
-     tenants record through their own modeled clocks (explicit [~t]), so
-     nothing here ever reads wall time. *)
+     tenants record their own series through views on their modeled
+     clocks ([Timeseries.with_clock]), so nothing here ever reads wall
+     time. *)
   let vclock = ref 0.0 in
   let series =
     Timeseries.create ~bucket_s:1.0 ~capacity:256 ~now:(fun () -> !vclock) ()
@@ -152,7 +153,7 @@ let run ?(log = ignore) cfg =
     ignore (Topology.set_link topo ~a:edge0 ~b:agg0 ~up);
     let touched = (Topology.stats topo).Topology.pairs_touched - s0 in
     let frac = float_of_int touched /. float_of_int (max 1 routed) in
-    Timeseries.observe series ~t:!vclock "route.flap_frac" frac;
+    Timeseries.observe series "route.flap_frac" frac;
     let trace_id =
       match
         Trace.start_trace tracer

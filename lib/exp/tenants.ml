@@ -201,7 +201,9 @@ let run ?(params = scenario_params) ?telemetry ?(series = Timeseries.noop)
   in
   let wb = List.filter (fun o -> not o.hostile) per_tenant in
   let jain_wb = Stats.jain_fairness (List.map (fun o -> o.retained) wb) in
-  Timeseries.observe series ~t:(Vswitch.modeled_clock vs) "tenant.jain" jain_wb;
+  Timeseries.observe
+    (Timeseries.with_clock series (fun () -> Vswitch.modeled_clock vs))
+    "tenant.jain" jain_wb;
   let min_retained_wb =
     List.fold_left (fun acc o -> Float.min acc o.retained) infinity wb
   in

@@ -96,7 +96,10 @@ val run :
 (** Run the two-phase scenario.  [params] defaults to
     {!scenario_params}; [telemetry] defaults to a {e fresh} registry so
     counters are scenario-local; [clock] (default [Sys.time]) only feeds
-    [admit_wall_s]. *)
+    [admit_wall_s].  [series] receives the vswitch's [tenant.*] series
+    on its modeled clock (and [tenant.jain] at the run's final modeled
+    time); the controller's [control.*]/[alloc.*] series stay on the
+    registry's own clock. *)
 
 val summary_lines : result -> string
 (** Deterministic multi-line summary (modeled quantities only — no wall

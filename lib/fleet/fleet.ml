@@ -346,8 +346,7 @@ let admit t ?client ~fid app =
   let rec go tried seq =
     match Seq.uncons seq with
     | None ->
-      Telemetry.incr t.tel "fleet.rejected";
-      Timeseries.add t.series "fleet.rejected";
+      Telemetry.incr ~series:t.series t.tel "fleet.rejected";
       (match root with
       | Some ctx ->
         ignore
@@ -375,14 +374,10 @@ let admit t ?client ~fid app =
         ignore (Shim.transition shim Shim.Response_granted);
         Hashtbl.replace t.shims fid shim;
         bind_placement t ~fid ~sw;
-        Telemetry.incr t.tel "fleet.admitted";
-        Telemetry.incr t.tel t.names.(sw).sn_admitted;
-        Timeseries.add t.series "fleet.admitted";
-        Timeseries.add t.series t.names.(sw).sn_admitted;
-        if tried > 0 then begin
-          Telemetry.incr t.tel "fleet.spillover";
-          Timeseries.add t.series "fleet.spillover"
-        end;
+        Telemetry.incr ~series:t.series t.tel "fleet.admitted";
+        Telemetry.incr ~series:t.series t.tel t.names.(sw).sn_admitted;
+        if tried > 0 then
+          Telemetry.incr ~series:t.series t.tel "fleet.spillover";
         (match trace with
         | Some ctx ->
           ignore
@@ -463,14 +458,10 @@ let commit_admission t pa ~sw =
     in
     Tenant.charge reg ~fid:pa.pa_fid ~blocks:(pa_charge pa) ~stages
   | _ -> ());
-  Telemetry.incr t.tel "fleet.admitted";
-  Telemetry.incr t.tel t.names.(sw).sn_admitted;
-  Timeseries.add t.series "fleet.admitted";
-  Timeseries.add t.series t.names.(sw).sn_admitted;
-  if pa.pa_tried <> [] then begin
-    Telemetry.incr t.tel "fleet.spillover";
-    Timeseries.add t.series "fleet.spillover"
-  end
+  Telemetry.incr ~series:t.series t.tel "fleet.admitted";
+  Telemetry.incr ~series:t.series t.tel t.names.(sw).sn_admitted;
+  if pa.pa_tried <> [] then
+    Telemetry.incr ~series:t.series t.tel "fleet.spillover"
 
 let drain_admissions ?(max_batch = 64) t =
   if max_batch <= 0 then
@@ -479,8 +470,7 @@ let drain_admissions ?(max_batch = 64) t =
   let settle pa result =
     (match result with
     | Error _ -> (
-      Telemetry.incr t.tel "fleet.rejected";
-      Timeseries.add t.series "fleet.rejected";
+      Telemetry.incr ~series:t.series t.tel "fleet.rejected";
       match t.tenants with
       | Some reg -> Tenant.unbind reg ~fid:pa.pa_fid
       | None -> ())
@@ -812,8 +802,7 @@ let migrate t ~fid ~dst =
         (fun _ -> inject_state t t.nodes.(dst) ~fid state);
         bind_placement t ~fid ~sw:dst;
         shim_step t ~fid Shim.Extraction_done;
-        Telemetry.incr t.tel "fleet.migrated";
-        Timeseries.add t.series "fleet.migrated";
+        Telemetry.incr ~series:t.series t.tel "fleet.migrated";
         Telemetry.incr t.tel t.names.(src).sn_out;
         Telemetry.incr t.tel t.names.(dst).sn_in;
         outcome "fleet.migrated" [ ("switch", string_of_int dst) ];
@@ -831,8 +820,7 @@ let migrate t ~fid ~dst =
       end
       else begin
         forget t ~fid;
-        Telemetry.incr t.tel "fleet.lost";
-            Timeseries.add t.series "fleet.lost";
+        Telemetry.incr ~series:t.series t.tel "fleet.lost";
         outcome "fleet.lost" [];
         Error `Lost
       end
@@ -864,8 +852,7 @@ let fail_switch t ~sw =
        only the affected destinations of already-built tables recompute. *)
     ignore (Topology.isolate t.topo ~sw);
     Telemetry.set_gauge t.tel t.names.(sw).sn_up 0.0;
-    Telemetry.incr t.tel "fleet.failures";
-    Timeseries.add t.series "fleet.failures";
+    Telemetry.incr ~series:t.series t.tel "fleet.failures";
     let evacuees = residents_of t ~sw in
     let root =
       Trace.start_trace t.tracer
@@ -913,8 +900,7 @@ let fail_switch t ~sw =
           match Seq.uncons seq with
           | None ->
             forget t ~fid;
-            Telemetry.incr t.tel "fleet.lost";
-            Timeseries.add t.series "fleet.lost";
+            Telemetry.incr ~series:t.series t.tel "fleet.lost";
             (match trace with
             | Some ctx -> ignore (Trace.instant t.tracer ctx "fleet.lost")
             | None -> ());
@@ -925,8 +911,7 @@ let fail_switch t ~sw =
               bind_placement t ~fid ~sw:dst;
               shim_step t ~fid Shim.Realloc_notified;
               shim_step t ~fid Shim.Extraction_done;
-              Telemetry.incr t.tel "fleet.migrated";
-        Timeseries.add t.series "fleet.migrated";
+              Telemetry.incr ~series:t.series t.tel "fleet.migrated";
               Telemetry.incr t.tel t.names.(sw).sn_out;
               Telemetry.incr t.tel t.names.(dst).sn_in;
               (match trace with

@@ -81,8 +81,9 @@ val create :
     [series] (default {!Timeseries.noop}) receives the same admission
     outcomes as windowed time series bucketed on the registry's virtual
     clock — [fleet.admitted], [fleet.rejected], [fleet.spillover],
-    [fleet.migrated], [fleet.lost], [fleet.failures],
-    [fleet.jit.invalidations] and per-switch [fleet.sw.<i>.admitted] —
+    [fleet.migrated], [fleet.lost], [fleet.failures] and per-switch
+    [fleet.sw.<i>.admitted], each recorded with its counter by one
+    [Telemetry.incr ~series] call, plus [fleet.jit.invalidations] —
     and is shared with every switch's controller and allocator
     ([control.provisions/rejections], [control.queue_depth],
     [alloc.admitted/rejected]).  The health plane ({!Activermt_health})

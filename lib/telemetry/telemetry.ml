@@ -67,7 +67,12 @@ let set g v =
 
 (* -- Recording by name (cold paths) --------------------------------------- *)
 
-let incr t ?(by = 1) name = if t.live then add (counter t name) by
+let incr ?series t ?(by = 1) name =
+  if t.live then add (counter t name) by;
+  match series with
+  | Some s -> Timeseries.add s ~by:(float_of_int by) name
+  | None -> ()
+
 let set_gauge t name v = if t.live then set (gauge t name) v
 
 let observe t name v =

@@ -58,7 +58,13 @@ val set : gauge -> float -> unit
 
 (** {2 Recording by name} *)
 
-val incr : t -> ?by:int -> string -> unit
+val incr : ?series:Timeseries.t -> t -> ?by:int -> string -> unit
+(** Add [by] (default 1) to counter [name].  With [series], also add
+    [by] to the counter series [name] there at its clock: one call
+    records the event in both registries, even when [t] is {!noop}.
+    A series is created only when first recorded, and [~by:0] still
+    adds one (zero-sum) event to it. *)
+
 val set_gauge : t -> string -> float -> unit
 
 val observe : t -> string -> float -> unit

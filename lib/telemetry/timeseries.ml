@@ -15,7 +15,7 @@ type t = {
   live : bool;
   ts_bucket_s : float;
   ts_capacity : int;
-  mutable clock : unit -> float;
+  clock : unit -> float;
   cells : (string, series) Hashtbl.t;
 }
 
@@ -40,7 +40,7 @@ let noop =
   }
 
 let enabled t = t.live
-let set_clock t f = if t.live then t.clock <- f
+let with_clock t f = if t.live then { t with clock = f } else t
 let bucket_s t = t.ts_bucket_s
 let capacity t = t.ts_capacity
 let now t = t.clock ()

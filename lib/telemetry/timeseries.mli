@@ -35,9 +35,12 @@ val noop : t
 val enabled : t -> bool
 (** [false] only for {!noop}. *)
 
-val set_clock : t -> (unit -> float) -> unit
-(** Re-wire the virtual clock (e.g. when a scenario phases from one
-    modeled clock to another).  No-op on {!noop}. *)
+val with_clock : t -> (unit -> float) -> t
+(** [with_clock t now] is a view of [t] that reads clock [now]: it records
+    into the same series, so the registry's reads and dumps show what
+    the view records, and the registry's own clock is unchanged.  A
+    component with its own modeled clock takes its view once and
+    records through it.  [with_clock noop _] is [noop]. *)
 
 val bucket_s : t -> float
 val capacity : t -> int
@@ -47,8 +50,9 @@ val now : t -> float
 
 val add : t -> ?t:float -> ?by:float -> string -> unit
 (** Bump a counter series by [by] (default [1.0]) in the bucket covering
-    time [t] (default: the registry clock).  Components with their own
-    modeled clock pass [~t] explicitly. *)
+    time [t] (default: the registry clock).  A counter that
+    {!Telemetry} also keeps is recorded through [Telemetry.incr ~series]
+    instead, so the two cannot drift. *)
 
 val observe : t -> ?t:float -> string -> float -> unit
 (** Record one sample of a distribution series in the bucket covering

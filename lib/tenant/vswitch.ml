@@ -74,16 +74,17 @@ type t = {
          defer so reclaimed capacity reaches the entitled *)
   latencies : (int, int * float) Hashtbl.t;  (* fid -> (tenant, latency) *)
   tel : Telemetry.t;
-  series : Timeseries.t;
+  series : Timeseries.t;  (* a view on [clock] *)
   tracer : Trace.t;
   mutable epoch : int;
-  mutable clock : float;
+  clock : float ref;  (* modeled seconds *)
 }
 
 let create ?(config = default_config) ?(cost = Cost_model.default)
     ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
     ?(tracer = Trace.noop) ~registry ctrl =
   if config.max_batch <= 0 then invalid_arg "Vswitch.create: max_batch <= 0";
+  let clock = ref 0.0 in
   {
     cfg = config;
     cost;
@@ -97,16 +98,16 @@ let create ?(config = default_config) ?(cost = Cost_model.default)
     waiting_entitled = Hashtbl.create 16;
     latencies = Hashtbl.create 256;
     tel = telemetry;
-    series;
+    series = Timeseries.with_clock series (fun () -> !clock);
     tracer;
     epoch = 0;
-    clock = 0.0;
+    clock;
   }
 
 let controller t = t.ctrl
 let registry t = t.reg
 let pending t = Wrr.depth t.queue
-let modeled_clock t = t.clock
+let modeled_clock t = !(t.clock)
 let decision_of t ~fid = Hashtbl.find_opt t.decisions fid
 
 let parked t =
@@ -150,7 +151,7 @@ let submit t ~tenant ~fid app =
       r_app = app;
       r_charge = charge_of app;
       r_stage_demand = Array.length app.App.demand_blocks;
-      r_submitted_s = t.clock;
+      r_submitted_s = !(t.clock);
       r_defers = 0;
       r_retries = 0;
       r_cancelled = false;
@@ -263,7 +264,7 @@ let depart t ~fid =
   | None | Some (Denied _) | Some Departed -> false
   | Some Granted ->
     let bd, _ = Controller.handle_departure t.ctrl ~fid in
-    t.clock <- t.clock +. Cost_model.total bd -. bd.Cost_model.allocation_s;
+    t.clock := !(t.clock) +. Cost_model.total bd -. bd.Cost_model.allocation_s;
     settle t ~fid Departed;
     Telemetry.incr t.tel "tenant.departed";
     true
@@ -302,8 +303,7 @@ let evict_fid t ~tenant:vt ~epoch_evicted ~modeled =
       !modeled
       +. Cost_model.total bd -. bd.Cost_model.allocation_s
       +. (float_of_int (state_words state) *. t.cost.Cost_model.snapshot_word_s);
-    Telemetry.incr t.tel "tenant.evictions";
-    Timeseries.add t.series ~t:t.clock "tenant.evictions";
+    Telemetry.incr ~series:t.series t.tel "tenant.evictions";
     ignore
       (Trace.start_trace t.tracer "tenant.evict"
          ~attrs:[ ("tenant", string_of_int vt); ("fid", string_of_int vf) ]);
@@ -355,7 +355,7 @@ let reclaim t =
       in
       go ())
     (Tenant.tenants t.reg);
-  t.clock <- t.clock +. !modeled;
+  t.clock := !(t.clock) +. !modeled;
   List.rev !epoch_evicted
 
 (* {2 Admission epochs} *)
@@ -363,7 +363,7 @@ let reclaim t =
 let deny t ~denied r (reason : denial) =
   settle t ~fid:r.r_fid (Denied reason);
   denied := (r.r_tenant, r.r_fid, reason) :: !denied;
-  Timeseries.add t.series ~t:t.clock "tenant.denied";
+  Timeseries.add t.series "tenant.denied";
   Telemetry.incr t.tel
     (match reason with
     | `Quota -> "tenant.denied.quota"
@@ -379,8 +379,7 @@ let defer_or_deny t ~denied r (reason : denial) =
   end
   else begin
     r.r_defers <- r.r_defers + 1;
-    Telemetry.incr t.tel "tenant.deferrals";
-    Timeseries.add t.series ~t:t.clock "tenant.deferrals";
+    Telemetry.incr ~series:t.series t.tel "tenant.deferrals";
     `Defer
   end
 
@@ -540,7 +539,7 @@ let run_epoch t =
           (float_of_int
              (match Hashtbl.find_opt actual id with Some b -> b | None -> 0)))
       (Tenant.tenants t.reg);
-    t.clock <- t.clock +. !modeled;
+    t.clock := !(t.clock) +. !modeled;
     let granted = List.rev !granted in
     (* First-grant admission latency off the modeled clock. *)
     List.iter
@@ -548,11 +547,10 @@ let run_epoch t =
         if not (Hashtbl.mem t.latencies fid) then
           match Hashtbl.find_opt t.reqs fid with
           | Some r ->
-            let lat = t.clock -. r.r_submitted_s in
+            let lat = !(t.clock) -. r.r_submitted_s in
             Hashtbl.replace t.latencies fid (tenant, lat);
-            Timeseries.observe t.series ~t:t.clock "tenant.admit_latency_s" lat;
-            Timeseries.add t.series ~t:t.clock
-              (Printf.sprintf "tenant.%d.granted" tenant)
+            Timeseries.observe t.series "tenant.admit_latency_s" lat;
+            Timeseries.add t.series (Printf.sprintf "tenant.%d.granted" tenant)
           | None -> ())
       granted;
     let summary =
@@ -564,7 +562,7 @@ let run_epoch t =
         evicted = List.rev !epoch_evicted;
         deferred = Wrr.depth t.queue;
         modeled_epoch_s = !modeled;
-        clock_s = t.clock;
+        clock_s = !(t.clock);
       }
     in
     t.epoch <- t.epoch + 1;

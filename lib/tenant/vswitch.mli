@@ -94,7 +94,14 @@ val create :
     eviction work.  [telemetry] receives [tenant.submitted/granted/
     denied.quota/denied.capacity/deferrals/evictions/epochs] counters,
     [tenant.memsync.words_moved], and per-tenant [tenant.<id>.blocks]
-    gauges refreshed every epoch. *)
+    gauges refreshed every epoch.
+
+    [series] (default {!Timeseries.noop}) is recorded through a
+    {!Timeseries.with_clock} view on the modeled clock: [tenant.evictions]
+    and [tenant.deferrals] (one [Telemetry.incr ~series] call with their
+    counters), [tenant.denied], per-tenant [tenant.<id>.granted] and the
+    [tenant.admit_latency_s] dist series.  The controller keeps the
+    series it was created with, at that registry's own clock. *)
 
 val controller : t -> Controller.t
 val registry : t -> Tenant.t

@@ -7,6 +7,7 @@ module Topology = Activermt_fleet.Topology
 module Placement = Activermt_fleet.Placement
 module Fleet = Activermt_fleet.Fleet
 module Telemetry = Activermt_telemetry.Telemetry
+module Timeseries = Activermt_telemetry.Timeseries
 module Harness = Experiments.Harness
 module Churn = Workload.Churn
 
@@ -15,6 +16,17 @@ let counter = Harness.app_of_kind Churn.Flow_counter
 
 (* Small stages so a handful of heavy-hitter services fills a switch. *)
 let small_params = Rmt.Params.with_blocks_per_stage Rmt.Params.default 32
+
+(* A name recorded through [Telemetry.incr ~series]: its series sums to
+   its counter. *)
+let check_series_matches_counter tel ts names =
+  List.iter
+    (fun name ->
+      Alcotest.(check (float 0.0))
+        (name ^ ": series sum = counter")
+        (float_of_int (Telemetry.counter_value tel name))
+        (Timeseries.aggregate ts name).Timeseries.a_sum)
+    names
 
 (* ---------- topology ---------- *)
 
@@ -175,10 +187,11 @@ let test_placement_deterministic () =
 
 let test_spillover () =
   let tel = Telemetry.create () in
+  let series = Timeseries.create () in
   let topo = Topology.full_mesh ~switches:2 ~latency_s:1e-5 in
   let fleet =
     Fleet.create ~policy:Placement.First_fit_switch ~params:small_params
-      ~telemetry:tel topo
+      ~telemetry:tel ~series topo
   in
   (* First-fit packs switch 0 until its allocator refuses, then the
      fleet must spill the next arrivals onto switch 1. *)
@@ -195,7 +208,15 @@ let test_spillover () =
   Alcotest.(check bool) "spillover counted" true
     (Telemetry.counter_value tel "fleet.spillover" > 0);
   Alcotest.(check bool) "fleet-wide rejection counted" true
-    (Telemetry.counter_value tel "fleet.rejected" > 0)
+    (Telemetry.counter_value tel "fleet.rejected" > 0);
+  check_series_matches_counter tel series
+    [
+      "fleet.rejected";
+      "fleet.admitted";
+      "fleet.spillover";
+      "fleet.sw.0.admitted";
+      "fleet.sw.1.admitted";
+    ]
 
 let test_global_admission_queue () =
   let module Tenant = Activermt_tenant.Tenant in
@@ -431,10 +452,11 @@ let test_cross_switch_data_plane () =
 
 let test_failure_replaces_all () =
   let tel = Telemetry.create () in
+  let series = Timeseries.create () in
   let topo = Topology.full_mesh ~switches:3 ~latency_s:1e-5 in
   let fleet =
     Fleet.create ~policy:Placement.Least_loaded ~params:small_params
-      ~telemetry:tel topo
+      ~telemetry:tel ~series topo
   in
   let fids = [ 1; 2; 3; 4 ] in
   List.iter
@@ -476,7 +498,8 @@ let test_failure_replaces_all () =
     (Fleet.is_up fleet ~sw:victim);
   let again = Fleet.fail_switch fleet ~sw:victim in
   Alcotest.(check (list int)) "re-failing relocates nothing" []
-    (List.map fst again.Fleet.relocated)
+    (List.map fst again.Fleet.relocated);
+  check_series_matches_counter tel series [ "fleet.migrated"; "fleet.failures" ]
 
 let test_scheduled_failure_fires () =
   let tel = Telemetry.create () in

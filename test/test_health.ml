@@ -109,6 +109,26 @@ let test_ts_noop () =
   Alcotest.(check (list string)) "records nothing" [] (Timeseries.names ts);
   check_float "clock pinned" 0.0 (Timeseries.now ts)
 
+let test_ts_with_clock () =
+  let base_clock = ref 1.5 and view_clock = ref 7.25 in
+  let ts = Timeseries.create ~now:(fun () -> !base_clock) () in
+  let view = Timeseries.with_clock ts (fun () -> !view_clock) in
+  Timeseries.add view "c";
+  Timeseries.observe view "d" 2.0;
+  Timeseries.add ts "c";
+  check_float "view reads its clock" 7.25 (Timeseries.now view);
+  check_float "base clock unchanged" 1.5 (Timeseries.now ts);
+  Alcotest.(check (list string)) "base names show the view's records"
+    [ "c"; "d" ] (Timeseries.names ts);
+  Alcotest.(check (list int)) "view records at its clock, base at its own"
+    [ 1; 7 ]
+    (List.map (fun w -> w.Timeseries.w_index) (Timeseries.windows ts "c"));
+  Alcotest.(check string) "one registry, one dump"
+    (Json.to_string (Timeseries.json_of ts))
+    (Json.to_string (Timeseries.json_of view));
+  Alcotest.(check bool) "a view of noop is noop" true
+    (Timeseries.with_clock Timeseries.noop (fun () -> 3.0) == Timeseries.noop)
+
 (* Feed one registry through the script, twice; the dumps must agree to
    the byte and survive a print/parse round-trip. *)
 let feed_script ts =
@@ -411,6 +431,7 @@ let () =
           Alcotest.test_case "no saturation" `Quick test_ts_no_saturation;
           Alcotest.test_case "kind mismatch" `Quick test_ts_kind_mismatch;
           Alcotest.test_case "noop registry" `Quick test_ts_noop;
+          Alcotest.test_case "clock view" `Quick test_ts_with_clock;
           Alcotest.test_case "json roundtrip + determinism" `Quick
             test_ts_json_roundtrip_and_determinism;
           Alcotest.test_case "dump rejects garbage" `Quick

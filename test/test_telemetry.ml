@@ -4,6 +4,7 @@
 
 module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
+module Timeseries = Activermt_telemetry.Timeseries
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -180,6 +181,52 @@ let test_noop () =
   Alcotest.(check bool) "empty json" true
     (Telemetry.json_of t
     = Json.Obj [ ("counters", Json.Obj []); ("gauges", Json.Obj []); ("histograms", Json.Obj []) ])
+
+(* -- Counters feeding a series ---------------------------------------------- *)
+
+let series_window ts name =
+  match Timeseries.windows ts name with
+  | [ w ] -> (w.Timeseries.w_index, w.Timeseries.w_count, w.Timeseries.w_sum)
+  | ws -> Alcotest.failf "%s: %d windows, expected 1" name (List.length ws)
+
+let window = Alcotest.(triple int int (float 0.0))
+
+let test_incr_series_both () =
+  let t = Telemetry.create () in
+  let clock = ref 2.5 in
+  let ts = Timeseries.create ~now:(fun () -> !clock) () in
+  Telemetry.incr ~series:ts t "c";
+  Telemetry.incr ~series:ts t ~by:4 "c";
+  Alcotest.(check int) "counter" 5 (Telemetry.counter_value t "c");
+  Alcotest.check window "one window at the series clock, two events"
+    (2, 2, 5.0) (series_window ts "c");
+  Alcotest.(check bool) "a counter series" true
+    (Timeseries.kind_of ts "c" = Some `Counter)
+
+let test_incr_series_by_zero () =
+  let t = Telemetry.create () in
+  let ts = Timeseries.create () in
+  Telemetry.incr ~series:ts t ~by:0 "c";
+  Alcotest.(check (list (pair string int))) "counter touched at 0"
+    [ ("c", 0) ] (Telemetry.counters t);
+  Alcotest.check window "one event of sum 0" (0, 1, 0.0) (series_window ts "c")
+
+let test_incr_series_noop_registry () =
+  let ts = Timeseries.create () in
+  Telemetry.incr ~series:ts Telemetry.noop ~by:3 "c";
+  Alcotest.(check (list (pair string int))) "noop records nothing" []
+    (Telemetry.counters Telemetry.noop);
+  Alcotest.check window "the live series still records" (0, 1, 3.0)
+    (series_window ts "c")
+
+let test_incr_series_lazy () =
+  let t = Telemetry.create () in
+  let ts = Timeseries.create () in
+  Telemetry.incr ~series:ts t "recorded";
+  Telemetry.incr t "counter.only";
+  ignore (Telemetry.counter t "handle.only");
+  Alcotest.(check (list string)) "only recorded names have series"
+    [ "recorded" ] (Timeseries.names ts)
 
 (* -- Histogram accuracy vs a sorted-sample oracle ------------------------- *)
 
@@ -566,6 +613,15 @@ let () =
           Alcotest.test_case "gauge set allocates nothing" `Quick
             test_gauge_set_no_alloc;
           Alcotest.test_case "noop registry" `Quick test_noop;
+        ] );
+      ( "incr ~series",
+        [
+          Alcotest.test_case "one call records both" `Quick test_incr_series_both;
+          Alcotest.test_case "by 0 is one event" `Quick test_incr_series_by_zero;
+          Alcotest.test_case "noop registry feeds a live series" `Quick
+            test_incr_series_noop_registry;
+          Alcotest.test_case "unrecorded name has no series" `Quick
+            test_incr_series_lazy;
         ] );
       ( "histograms",
         [

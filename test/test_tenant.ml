@@ -10,6 +10,7 @@ module Allocator = Activermt_alloc.Allocator
 module Pool = Activermt_alloc.Pool
 module App = Activermt_apps.App
 module Telemetry = Activermt_telemetry.Telemetry
+module Timeseries = Activermt_telemetry.Timeseries
 module Negotiate = Activermt_client.Negotiate
 module Tenants = Experiments.Tenants
 
@@ -276,16 +277,40 @@ let test_reclaim_preserves_state () =
         Alcotest.(check int) (Printf.sprintf "word %d preserved" i) (1000 + i) v)
       words
 
+(* A name recorded through [Telemetry.incr ~series]: its series sums to
+   its counter. *)
+let check_series_matches_counter tel ts names =
+  List.iter
+    (fun name ->
+      Alcotest.(check (float 0.0))
+        (name ^ ": series sum = counter")
+        (float_of_int (Telemetry.counter_value tel name))
+        (Timeseries.aggregate ts name).Timeseries.a_sum)
+    names
+
 let test_noisy_neighbor_scenario () =
   (* The ISSUE acceptance gate at a test-sized scale: one hostile tenant
      flooding at several times its fair share cannot hold well-behaved
      tenants below 90% of their weighted entitlement. *)
-  let r = Tenants.run { (Tenants.preset ~tenants:4 ()) with Tenants.seed = 3 } in
+  let telemetry = Telemetry.create () and series = Timeseries.create () in
+  let r =
+    Tenants.run ~telemetry ~series
+      { (Tenants.preset ~tenants:4 ()) with Tenants.seed = 3 }
+  in
   Alcotest.(check bool) "preemption fired" true (r.Tenants.evictions > 0);
   Alcotest.(check bool) "jain >= 0.9" true (r.Tenants.jain_wb >= 0.9);
   Alcotest.(check bool) "min retained >= 0.9" true
     (r.Tenants.min_retained_wb >= 0.9);
-  Alcotest.(check bool) "fid audit" true r.Tenants.consistent
+  Alcotest.(check bool) "fid audit" true r.Tenants.consistent;
+  check_series_matches_counter telemetry series
+    [
+      "tenant.evictions";
+      "tenant.deferrals";
+      "alloc.admitted";
+      "alloc.rejected";
+      "control.provisions";
+      "control.rejections";
+    ]
 
 (* ---------- single-tenant differential smoke ---------- *)
 
