@@ -656,9 +656,6 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
     output_char oc '\n';
     close_out oc;
     Printf.printf "wrote fleet summary to %s\n" path);
-  for sw = 0 to switches - 1 do
-    Activermt.Jit.flush_stats (Netsim.Fabric.jit (Fleet.fabric fleet ~sw))
-  done;
   write_metrics metrics_out;
   write_series series series_out;
   write_trace tracer trace_out

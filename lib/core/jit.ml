@@ -1,4 +1,4 @@
-(* Specialization tier for the data plane (ROADMAP open item #1).
+(* Specialization tier for the data plane.
 
    When a FID's program is admitted, its 20-stage trace is compiled into a
    chain of OCaml closures: one specialized closure per instruction slot,
@@ -17,12 +17,13 @@
      entered, so the interpreter's per-slot accounting
      ([executed]/[last_stage]) collapses to one block-level update — the
      intermediate stores are dead, only the final values are observable.
-   - The canonical address chains the synthesizer emits (HASH /
-     ADDR_MASK / ADDR_OFFSET, MAR_LOAD / ADDR_MASK / ADDR_OFFSET, the
-     key-to-hashdata load prefix) are peephole-fused into single closures
-     with the mask/offset constants baked in, eliding the dead
-     intermediate MAR values; memory accesses poke the register file's
-     exposed representation directly once the index is proven in range.
+   - The synthesizer's canonical idioms (an address chain HASH or
+     MAR_LOAD / ADDR_MASK / ADDR_OFFSET into its memory access, the
+     key-to-hashdata load prefix, probe/compare/return triples, reply
+     tails) are peephole-fused into single closures with the mask/offset
+     constants baked in, eliding the dead intermediate MAR values; memory
+     accesses poke the register file's exposed representation directly
+     once the index is proven in range.
 
    Closures are cached per FID and keyed by the allocation epoch
    ([Table.epoch]), which the table bumps on every install, remove and
@@ -68,9 +69,7 @@ type compiled = {
       (* one bare closure per pc: the operation only, no accounting *)
   blocks : block array;  (* fused straight-line run starting at each pc *)
   labels : int array;  (* line label, or [no_label] *)
-  instrs : Instr.t array;  (* for trace-event emission *)
   len : int;
-  single_pass : bool;  (* len <= n_stages: no recirculation bookkeeping *)
   straight : (state -> unit) option;
       (* whole-program chain for jump-free programs: blocks linked by
          complete-flag checks, recirculation checks baked in at pass
@@ -102,17 +101,10 @@ type t = {
   dm_fid : int array;  (* direct-mapped dispatch cache: fid per slot, -1 empty *)
   dm_entry : cache_entry array;
   scratch : state;
-  (* Stats are plain fields — a registry increment costs more than a whole
-     compiled execution — published to [telemetry] by [flush_stats], which
-     runs on every (rare) compile/invalidate and before metric dumps. *)
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_compiles : int;
-  mutable s_invalidates : int;
-  mutable p_hits : int;  (* already-published portions *)
-  mutable p_misses : int;
-  mutable p_compiles : int;
-  mutable p_invalidates : int;
+  c_hit : Activermt_telemetry.Telemetry.counter;
+  c_miss : Activermt_telemetry.Telemetry.counter;
+  c_compile : Activermt_telemetry.Telemetry.counter;
+  c_invalidate : Activermt_telemetry.Telemetry.counter;
   mutable last_mode : mode;
 }
 
@@ -131,8 +123,8 @@ let drop_with device st reason =
    table-derived constant baked in.  [stage] is the logical stage the slot
    occupies (pc mod n_stages — the mapping is static because skipped slots
    still consume a stage).  The closures do no [executed]/[last_stage]
-   accounting: the drivers account per fused block (fast path) or per slot
-   (event path). *)
+   accounting: the driver accounts per fused block, or per slot on a
+   labelled re-entry. *)
 let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
     (instr : Instr.t) : state -> unit =
   let open Rmt in
@@ -663,24 +655,6 @@ let compile tables ~fid (program : Program.t) =
           if x <> 0 then st.complete <- true)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    (* pointer chase into a granted pool: MAR_MBR_ADD_MBR2 / MEM_READ /
-       SET_DST (the computed address is masked, hence non-negative) *)
-    | p1 :: p2 :: p3 :: rest
-      when privileged
-           && instrs.(p1) = Instr.Mar_mbr_add_mbr2
-           && instrs.(p2) = Instr.Mem_read
-           && instrs.(p3) = Instr.Set_dst -> (
-      match virt_mem p2 with
-      | Some (lo, n, r, data) ->
-        (fun st ->
-          let adr = mask32 (st.mbr + st.mbr2) in
-          st.mar <- adr;
-          r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-          let v = Array.unsafe_get data (lo + (adr mod n)) in
-          st.mbr <- v;
-          st.dst <- v)
-        :: peep rest
-      | None -> ops.(p1) :: peep (p2 :: p3 :: rest))
     (* RTS reply carrying a read value: RTS / MEM_READ / MBR_STORE /
        RETURN *)
     | p1 :: p2 :: p3 :: p4 :: rest
@@ -737,39 +711,6 @@ let compile tables ~fid (program : Program.t) =
           st.complete <- true)
         :: peep rest
       | None -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    (* plain address chains (no fusable access follows) *)
-    | p1 :: p2 :: p3 :: rest
-      when instrs.(p1) = Instr.Hash
-           && instrs.(p2) = Instr.Addr_mask
-           && instrs.(p3) = Instr.Addr_offset -> (
-      match (entry_at p2, entry_at p3) with
-      | Some e2, Some e3 ->
-        let row = (Rmt.Device.stage device (stage_of p1)).Rmt.Device.hash_row in
-        let m = e2.Table.xmask and o = e3.Table.xoffset in
-        (fun st ->
-          st.mar <-
-            ((mask32 (Rmt.Crc.hash_words2 ~row st.hd0 st.hd1) land m) + o)
-            land 0xFFFFFFFF)
-        :: peep rest
-      | _ -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    | p1 :: p2 :: p3 :: rest
-      when (match instrs.(p1) with Instr.Mar_load _ -> true | _ -> false)
-           && instrs.(p2) = Instr.Addr_mask
-           && instrs.(p3) = Instr.Addr_offset -> (
-      match (instrs.(p1), entry_at p2, entry_at p3) with
-      | Instr.Mar_load a, Some e2, Some e3 ->
-        let i = Instr.arg_index a in
-        let m = e2.Table.xmask and o = e3.Table.xoffset in
-        (fun st -> st.mar <- ((st.args.(i) land m) + o) land 0xFFFFFFFF)
-        :: peep rest
-      | _ -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    | p2 :: p3 :: rest
-      when instrs.(p2) = Instr.Addr_mask && instrs.(p3) = Instr.Addr_offset -> (
-      match (entry_at p2, entry_at p3) with
-      | Some e2, Some e3 ->
-        let m = e2.Table.xmask and o = e3.Table.xoffset in
-        (fun st -> st.mar <- ((st.mar land m) + o) land 0xFFFFFFFF) :: peep rest
-      | _ -> ops.(p2) :: peep (p3 :: rest))
     (* key-to-hashdata load prefix *)
     | p1 :: p2 :: p3 :: p4 :: rest
       when (match (instrs.(p1), instrs.(p2)) with
@@ -941,9 +882,7 @@ let compile tables ~fid (program : Program.t) =
     ops;
     blocks;
     labels;
-    instrs;
     len;
-    single_pass = len <= n_stages;
     straight;
     c_n_stages = n_stages;
     c_ingress = ingress;
@@ -960,25 +899,8 @@ let exec_labelled c st pc =
   st.executed <- st.executed + 1;
   st.last_stage <- pc mod c.c_n_stages
 
-(* The fast single-pass driver: most synthesized programs fit in one
-   traversal, which needs no recirculation bookkeeping at all. *)
-let drive_single c st =
-  let pc = ref 0 in
-  while !pc < c.len && not st.complete do
-    if st.disabled < 0 then begin
-      let b = Array.unsafe_get c.blocks !pc in
-      b.b_fn st;
-      pc := !pc + b.b_n
-    end
-    else begin
-      if c.labels.(!pc) = st.disabled then exec_labelled c st !pc;
-      incr pc
-    end
-  done;
-  st.f_pc <- !pc;
-  st.f_passes <- 1
-
-(* The general driver: fused blocks, no event emission.  Mirrors the
+(* The driver for programs with jumps: fused blocks, plus per-slot
+   labelled re-entry while a branch skips.  Mirrors the
    interpreter's pass/disabled/recirculation accounting exactly. *)
 let drive c st =
   let pc = ref 0 in
@@ -1014,59 +936,7 @@ let drive c st =
   st.f_pc <- !pc;
   st.f_passes <- (if !passes > 1 then !passes else 1)
 
-(* The tracing driver: steps one slot at a time and emits the same
-   [trace_event] stream the interpreter would. *)
-let drive_with_events c st f =
-  let pc = ref 0 in
-  let passes = ref 0 in
-  let limit_hit = ref false in
-  while (not st.complete) && !pc < c.len && not !limit_hit do
-    if !passes > 0 then begin
-      if !passes > c.pass_allowance then begin
-        limit_hit := true;
-        drop_with c.c_device st Runtime.Recirculation_limit
-      end
-      else Rmt.Device.count_recirculation c.c_device
-    end;
-    if not !limit_hit then begin
-      let stop =
-        let h = !pc + c.c_n_stages in
-        if h < c.len then h else c.len
-      in
-      while !pc < stop && not st.complete do
-        let skipped =
-          if st.disabled < 0 then begin
-            c.ops.(!pc) st;
-            st.executed <- st.executed + 1;
-            st.last_stage <- !pc mod c.c_n_stages;
-            false
-          end
-          else if c.labels.(!pc) = st.disabled then begin
-            exec_labelled c st !pc;
-            false
-          end
-          else true
-        in
-        f
-          {
-            Runtime.tr_pass = !passes;
-            tr_stage = !pc mod c.c_n_stages;
-            tr_pc = !pc;
-            tr_instr = c.instrs.(!pc);
-            tr_skipped = skipped;
-            tr_mar = st.mar;
-            tr_mbr = st.mbr;
-            tr_mbr2 = st.mbr2;
-          };
-        incr pc
-      done;
-      incr passes
-    end
-  done;
-  st.f_pc <- !pc;
-  st.f_passes <- (if !passes > 1 then !passes else 1)
-
-let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
+let exec_compiled c ~(meta : Runtime.meta) ~args ~st =
   let n_args = Array.length args in
   (* One copy serves as both the working argument store and the result's
      [args_out] — the only per-packet allocation besides the result.  The
@@ -1102,12 +972,7 @@ let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
   st.args <- args;
   st.src <- meta.Runtime.src;
   st.flow_key <- meta.Runtime.flow_key;
-  (match on_event with
-  | None -> (
-      match c.straight with
-      | Some f -> f st
-      | None -> if c.single_pass then drive_single c st else drive c st)
-  | Some f -> drive_with_events c st f);
+  (match c.straight with Some f -> f st | None -> drive c st);
   let pipelines =
     let within_ingress = st.last_stage < c.c_ingress in
     ((st.f_passes - 1) * 2)
@@ -1162,9 +1027,10 @@ let fresh_state () =
 let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
   (* Seed the counters so a metrics dump always carries the jit stats
      lines, even for runs that never execute a capsule. *)
-  List.iter
-    (fun c -> Telemetry.incr telemetry ~by:0 c)
-    [ "jit.compile"; "jit.hit"; "jit.miss"; "jit.invalidate" ];
+  let counter name =
+    Telemetry.incr telemetry ~by:0 name;
+    Telemetry.counter telemetry name
+  in
   Telemetry.set_gauge telemetry "jit.enabled" (if enabled then 1.0 else 0.0);
   {
     tables;
@@ -1174,14 +1040,10 @@ let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
     dm_fid = Array.make dm_slots (-1);
     dm_entry = Array.make dm_slots no_entry;
     scratch = fresh_state ();
-    s_hits = 0;
-    s_misses = 0;
-    s_compiles = 0;
-    s_invalidates = 0;
-    p_hits = 0;
-    p_misses = 0;
-    p_compiles = 0;
-    p_invalidates = 0;
+    c_hit = counter "jit.hit";
+    c_miss = counter "jit.miss";
+    c_compile = counter "jit.compile";
+    c_invalidate = counter "jit.invalidate";
     last_mode = Interpreted;
   }
 
@@ -1189,20 +1051,9 @@ let enabled t = t.enabled
 let tables t = t.tables
 let cache_size t = Hashtbl.length t.cache
 
-let flush_stats t =
-  let pub got published name =
-    if got > published then Telemetry.incr t.telemetry ~by:(got - published) name
-  in
-  pub t.s_hits t.p_hits "jit.hit";
-  pub t.s_misses t.p_misses "jit.miss";
-  pub t.s_compiles t.p_compiles "jit.compile";
-  pub t.s_invalidates t.p_invalidates "jit.invalidate";
-  t.p_hits <- t.s_hits;
-  t.p_misses <- t.s_misses;
-  t.p_compiles <- t.s_compiles;
-  t.p_invalidates <- t.s_invalidates
-
-let stats t = (t.s_hits, t.s_misses, t.s_compiles, t.s_invalidates)
+let stats t =
+  Telemetry.
+    (count t.c_hit, count t.c_miss, count t.c_compile, count t.c_invalidate)
 
 let invalidate t ~fid =
   if Hashtbl.mem t.cache fid then begin
@@ -1212,18 +1063,7 @@ let invalidate t ~fid =
       t.dm_fid.(slot) <- -1;
       t.dm_entry.(slot) <- no_entry
     end;
-    t.s_invalidates <- t.s_invalidates + 1;
-    flush_stats t
-  end
-
-let invalidate_all t =
-  let n = Hashtbl.length t.cache in
-  if n > 0 then begin
-    Hashtbl.reset t.cache;
-    Array.fill t.dm_fid 0 dm_slots (-1);
-    Array.fill t.dm_entry 0 dm_slots no_entry;
-    t.s_invalidates <- t.s_invalidates + n;
-    flush_stats t
+    Telemetry.bump t.c_invalidate
   end
 
 let find_prog progs program =
@@ -1239,8 +1079,8 @@ let compile_into t ~fid ~program entry =
     Telemetry.with_span t.telemetry "jit.compile_s" (fun () ->
         compile t.tables ~fid program)
   in
-  t.s_compiles <- t.s_compiles + 1;
-  t.s_misses <- t.s_misses + 1;
+  Telemetry.bump t.c_compile;
+  Telemetry.bump t.c_miss;
   (match entry with
   | Some ce ->
     let kept =
@@ -1256,7 +1096,6 @@ let compile_into t ~fid ~program entry =
     let slot = fid land (dm_slots - 1) in
     t.dm_fid.(slot) <- fid;
     t.dm_entry.(slot) <- ce);
-  flush_stats t;
   c
 
 let default_meta = Runtime.meta ~src:0 ~dst:0 ()
@@ -1264,45 +1103,45 @@ let default_meta = Runtime.meta ~src:0 ~dst:0 ()
 (* Miss path: the FID has no valid cached closure for this program.
    Uninstalled or quiesced FIDs execute in the interpreter (which handles
    pass-through); otherwise compile against the current allocation. *)
-let run_slow ?on_event t ~meta ~fid ~args ~program ~entry pkt =
+let run_slow t ~meta ~fid ~args ~program ~entry pkt =
   let stale =
     match entry with Some ce -> !(ce.ce_cell) <> ce.ce_version | None -> false
   in
   if stale then invalidate t ~fid;
   if Table.is_quiesced t.tables ~fid || not (Table.installed t.tables ~fid) then begin
     t.last_mode <- Interpreted;
-    Runtime.run ?on_event t.tables ~meta pkt
+    Runtime.run t.tables ~meta pkt
   end
   else begin
     let entry = if stale then None else entry in
     let c = compile_into t ~fid ~program entry in
     t.last_mode <- Compiled_fresh;
-    exec_compiled ?on_event c ~meta ~args ~st:t.scratch
+    exec_compiled c ~meta ~args ~st:t.scratch
   end
 
 (* Cache-entry hit with the head program already ruled out: scan the rest
    of the FID's compiled variants, else take the miss path. *)
-let run_entry_rest ?on_event t ~meta ~fid ~args ~program ~ce pkt =
+let run_entry_rest t ~meta ~fid ~args ~program ~ce pkt =
   match find_prog ce.ce_progs program with
   | Some c ->
-    t.s_hits <- t.s_hits + 1;
+    Telemetry.bump t.c_hit;
     t.last_mode <- Compiled;
-    exec_compiled ?on_event c ~meta ~args ~st:t.scratch
-  | None -> run_slow ?on_event t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
+    exec_compiled c ~meta ~args ~st:t.scratch
+  | None -> run_slow t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
 
-let run_entry ?on_event t ~meta ~fid ~args ~program ~ce pkt =
+let run_entry t ~meta ~fid ~args ~program ~ce pkt =
   (* A valid epoch implies the FID is installed and not quiesced: install,
      remove and quiescence transitions all bump it. *)
   if !(ce.ce_cell) = ce.ce_version then
     match ce.ce_progs with
     | (p0, c0) :: _ when p0 == program ->
-      t.s_hits <- t.s_hits + 1;
+      Telemetry.bump t.c_hit;
       t.last_mode <- Compiled;
-      exec_compiled ?on_event c0 ~meta ~args ~st:t.scratch
-    | _ -> run_entry_rest ?on_event t ~meta ~fid ~args ~program ~ce pkt
-  else run_slow ?on_event t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
+      exec_compiled c0 ~meta ~args ~st:t.scratch
+    | _ -> run_entry_rest t ~meta ~fid ~args ~program ~ce pkt
+  else run_slow t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
 
-let run ?on_event t ?(meta = default_meta) (pkt : Packet.t) =
+let run t ?(meta = default_meta) (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Exec { args; program } when t.enabled -> (
     let fid = pkt.Packet.fid in
@@ -1314,26 +1153,25 @@ let run ?on_event t ?(meta = default_meta) (pkt : Packet.t) =
       if !(ce.ce_cell) = ce.ce_version then
         match ce.ce_progs with
         | (p0, c0) :: _ when p0 == program ->
-          t.s_hits <- t.s_hits + 1;
+          Telemetry.bump t.c_hit;
           t.last_mode <- Compiled;
-          exec_compiled ?on_event c0 ~meta ~args ~st:t.scratch
-        | _ -> run_entry_rest ?on_event t ~meta ~fid ~args ~program ~ce pkt
-      else run_slow ?on_event t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
+          exec_compiled c0 ~meta ~args ~st:t.scratch
+        | _ -> run_entry_rest t ~meta ~fid ~args ~program ~ce pkt
+      else run_slow t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
     end
     else
       match Hashtbl.find t.cache fid with
       | ce ->
         t.dm_fid.(slot) <- fid;
         t.dm_entry.(slot) <- ce;
-        run_entry ?on_event t ~meta ~fid ~args ~program ~ce pkt
-      | exception Not_found ->
-        run_slow ?on_event t ~meta ~fid ~args ~program ~entry:None pkt)
+        run_entry t ~meta ~fid ~args ~program ~ce pkt
+      | exception Not_found -> run_slow t ~meta ~fid ~args ~program ~entry:None pkt)
   | _ ->
     t.last_mode <- Interpreted;
-    Runtime.run ?on_event t.tables ~meta pkt
+    Runtime.run t.tables ~meta pkt
 
-let run_info ?on_event t ?meta pkt =
-  let r = run ?on_event t ?meta pkt in
+let run_info t ?meta pkt =
+  let r = run t ?meta pkt in
   (r, t.last_mode)
 
 let would_specialize t (pkt : Packet.t) =

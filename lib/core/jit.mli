@@ -6,9 +6,22 @@
     re-derives per packet — granted region bounds, translation constants,
     privilege, the recirculation allowance, stage register arrays — and
     keeps branches only at the data-dependent points (complete/disabled
-    flags, recirculation checks).  Execution is bit-identical to
-    {!Runtime.run}: the same [result], the same [trace_event] stream, the
-    same register-array and device-counter side effects.
+    flags, recirculation checks).  Execution is equivalent to
+    {!Runtime.run}, the reference semantics: the same [result] and the
+    same register-array and device-counter side effects.  The JIT emits
+    no per-stage [trace_event]s; a caller that wants them runs the
+    interpreter ([Runtime.run ~on_event]).
+
+    Three tiers serve a packet, each carrying part of the device bench's
+    speedup over the interpreter:
+    - a direct-mapped dispatch cache in front of the per-FID closure
+      table;
+    - per-slot closures fused into straight-line blocks, peephole
+      superinstructions for the synthesizer's idioms (sketch row,
+      indexed read, threshold test, probe-and-compare, hash cookie,
+      round-robin index, RTS reply/ack, hash-data loads, loaded stores);
+    - for jump-free programs, one whole-program chain with the pass
+      boundaries baked in.  Programs with jumps run the block driver.
 
     Invalidation is automatic: {!Table.epoch} is bumped by every install
     and remove, so reallocation, migration, departure, and privilege or
@@ -30,16 +43,12 @@ val create : ?enabled:bool -> ?telemetry:Activermt_telemetry.Telemetry.t -> Tabl
     turns every execution into an interpreter fallback.  Counters
     [jit.compile]/[jit.hit]/[jit.miss]/[jit.invalidate], the
     [jit.enabled] gauge and the [jit.compile] span land in [telemetry]
-    (default {!Activermt_telemetry.Telemetry.default}). *)
+    (default {!Activermt_telemetry.Telemetry.default}) as they happen. *)
 
-val run :
-  ?on_event:(Runtime.trace_event -> unit) -> t -> ?meta:Runtime.meta -> Packet.t ->
-  Runtime.result
-(** Drop-in replacement for {!Runtime.run}. *)
+val run : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result
+(** Drop-in replacement for {!Runtime.run} without [on_event]. *)
 
-val run_info :
-  ?on_event:(Runtime.trace_event -> unit) -> t -> ?meta:Runtime.meta -> Packet.t ->
-  Runtime.result * mode
+val run_info : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result * mode
 (** [run] plus how the packet was executed, for span attributes. *)
 
 val would_specialize : t -> Packet.t -> bool
@@ -53,19 +62,12 @@ val invalidate : t -> fid:Packet.fid -> unit
     it, because stale closures are already unreachable once the
     allocation epoch moves. *)
 
-val invalidate_all : t -> unit
-
 val enabled : t -> bool
 val tables : t -> Table.t
 val cache_size : t -> int
 
-val flush_stats : t -> unit
-(** Publish accumulated hit/miss/compile/invalidate counts to the
-    telemetry registry.  The hot path only bumps plain fields (a registry
-    increment costs more than a compiled execution); compiles and
-    invalidations flush automatically, so only the hit count can lag —
-    call this before reading or dumping metrics. *)
-
 val stats : t -> int * int * int * int
-(** [(hits, misses, compiles, invalidates)] since creation, read from the
-    local fields (no flush needed). *)
+(** [(hits, misses, compiles, invalidates)], read from the telemetry
+    registry's [jit.*] counter cells.  JITs that share a registry share
+    these counts, and {!Activermt_telemetry.Telemetry.reset} clears
+    them. *)

@@ -277,11 +277,16 @@ let decision_string r =
     "dropped:" ^ why
 
 (* The [device.exec] span's attrs; admit.* link the data plane back to
-   the control-plane provision span that placed this program. *)
+   the control-plane provision span that placed this program.  A
+   stage-detail capsule runs in the interpreter, so its [jit] reads
+   false. *)
 let exec_attrs t pkt =
   let fid = pkt.Activermt.Packet.fid in
   let jit_attr =
-    ("jit", if Activermt.Jit.would_specialize t.jit pkt then "true" else "false")
+    ( "jit",
+      if (not (Trace.stage_detail t.tracer)) && Activermt.Jit.would_specialize t.jit pkt
+      then "true"
+      else "false" )
   in
   match Controller.admit_trace t.controller ~fid with
   | None -> [ sw_attr t; ("fid", string_of_int fid); jit_attr ]
@@ -294,6 +299,23 @@ let exec_attrs t pkt =
       ("admit.span_id", string_of_int a.Trace.span_id);
     ]
 
+(* One [device.stage] instant per interpreter trace event. *)
+let stage_event t c (e : Activermt.Runtime.trace_event) =
+  let attrs =
+    [
+      sw_attr t;
+      ("pass", string_of_int e.Activermt.Runtime.tr_pass);
+      ("stage", string_of_int e.Activermt.Runtime.tr_stage);
+      ("pc", string_of_int e.Activermt.Runtime.tr_pc);
+      ("instr", Format.asprintf "%a" Activermt.Instr.pp e.Activermt.Runtime.tr_instr);
+      ("skipped", if e.Activermt.Runtime.tr_skipped then "1" else "0");
+      ("mar", string_of_int e.Activermt.Runtime.tr_mar);
+      ("mbr", string_of_int e.Activermt.Runtime.tr_mbr);
+      ("mbr2", string_of_int e.Activermt.Runtime.tr_mbr2);
+    ]
+  in
+  ignore (Trace.instant t.tracer c ~attrs "device.stage")
+
 let at_switch t m =
   match m.payload with
   | Kv_request _ | Kv_reply _ | Alloc_failed | Notify_realloc ->
@@ -304,7 +326,13 @@ let at_switch t m =
     | Activermt.Packet.Request _ -> (
       match Controller.handle_request ?trace:(tr_on t m) t.controller pkt with
       | Ok provision ->
-        let dt = Activermt_control.Cost_model.total provision.Controller.timing in
+        (* Simulated time advances by the modeled control-plane work only;
+           the allocator's measured compute time is host time, reported in
+           the provision's timing but never scheduled. *)
+        let dt =
+          let b = provision.Controller.timing in
+          Activermt_control.Cost_model.(b.table_update_s +. b.snapshot_s +. b.notify_s)
+        in
         let dt =
           match t.faults with
           | Some f -> Faults.scale_table_update f dt
@@ -383,39 +411,21 @@ let at_switch t m =
         let r, exec_ctx =
           Trace.with_span t.tracer ctx ?attrs "device.exec"
           @@ fun ec ->
-          let on_event =
-            match ec with
-            | Some c when Trace.stage_detail t.tracer ->
-              Some
-                (fun (e : Activermt.Runtime.trace_event) ->
-                  let attrs =
-                    [
-                      sw_attr t;
-                      ("pass", string_of_int e.Activermt.Runtime.tr_pass);
-                      ("stage", string_of_int e.Activermt.Runtime.tr_stage);
-                      ("pc", string_of_int e.Activermt.Runtime.tr_pc);
-                      ( "instr",
-                        Format.asprintf "%a" Activermt.Instr.pp
-                          e.Activermt.Runtime.tr_instr );
-                      ( "skipped",
-                        if e.Activermt.Runtime.tr_skipped then "1" else "0" );
-                      ("mar", string_of_int e.Activermt.Runtime.tr_mar);
-                      ("mbr", string_of_int e.Activermt.Runtime.tr_mbr);
-                      ("mbr2", string_of_int e.Activermt.Runtime.tr_mbr2);
-                    ]
-                  in
-                  ignore (Trace.instant t.tracer c ~attrs "device.stage"))
-            | _ -> None
-          in
-          let r, mode = Activermt.Jit.run_info ?on_event t.jit ~meta pkt in
-          (match (mode, ec) with
-          | Activermt.Jit.Compiled_fresh, Some c ->
-            ignore
-              (Trace.instant t.tracer c
-                 ~attrs:[ sw_attr t; ("fid", string_of_int fid) ]
-                 "jit.compile")
-          | _ -> ());
-          (r, ec)
+          match ec with
+          | Some c when Trace.stage_detail t.tracer ->
+            ( Activermt.Runtime.run ~on_event:(stage_event t c)
+                (Controller.tables t.controller) ~meta pkt,
+              ec )
+          | _ ->
+            let r, mode = Activermt.Jit.run_info t.jit ~meta pkt in
+            (match (mode, ec) with
+            | Activermt.Jit.Compiled_fresh, Some c ->
+              ignore
+                (Trace.instant t.tracer c
+                   ~attrs:[ sw_attr t; ("fid", string_of_int fid) ]
+                   "jit.compile")
+            | _ -> ());
+            (r, ec)
         in
         let proc_s = t.pass_s *. float_of_int r.Activermt.Runtime.pipelines in
         (match exec_ctx with

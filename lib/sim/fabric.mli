@@ -81,7 +81,7 @@ val create :
     [jit] (default [true]) runs admitted programs through the {!Activermt.Jit}
     specialization tier, falling back to the interpreter for anything it
     cannot specialize; [false] forces pure interpretation (the CLI's
-    [--no-jit]).  Either way results are bit-identical — the JIT changes
+    [--no-jit]).  Either way results are identical — the JIT changes
     throughput, never semantics.  Departures invalidate the FID's cached
     closures; reallocation and quiescence invalidate through the
     allocation epoch.
@@ -101,7 +101,14 @@ val create :
     [jit=true/false] attr for whether the specialization tier ran the
     capsule, plus a [jit.compile] instant on first compilation) with
     [device.stage]/[device.result]/[device.drop] children linked to the
-    admitting [control.provision] span via [admit.*] attrs.  Share one
+    admitting [control.provision] span via [admit.*] attrs.  At Stages
+    verbosity a traced capsule runs in the interpreter, whose per-stage
+    events become the [device.stage] instants (its [jit] reads false).
+
+    A granted request is answered after the provision's modeled
+    control-plane time (table updates, snapshot, notification) plus the
+    wire latency; the allocator's measured compute time never reaches
+    the simulated clock, so same-seed runs replay identically.  Share one
     tracer (and its clock, wired to [Engine.now]) across every fabric of
     a fleet so traces follow capsules between switches.  Attributes are
     built only for traced capsules: an untraced one pays a pointer test
@@ -118,8 +125,7 @@ val faults : t -> Faults.t option
 
 val jit : t -> Activermt.Jit.t
 (** The switch's JIT handle (disabled when created with [~jit:false]) —
-    for stats flushing before metric dumps and invalidation on
-    migration. *)
+    for its stats and invalidation on migration. *)
 
 val address : t -> address
 (** The address this instance's switch answers on. *)

@@ -60,6 +60,7 @@ let add c by =
   c.c_touched <- true
 
 let bump c = add c 1
+let count c = c.n
 
 let set g v =
   g.value.v <- v;

@@ -54,6 +54,10 @@ val gauge : t -> string -> gauge
 val bump : counter -> unit
 (** Add one. *)
 
+val count : counter -> int
+(** The handle's current value: what {!counter_value} reads for a live
+    registry's cell ({!noop} handles count on their own detached cell). *)
+
 val set : gauge -> float -> unit
 
 (** {2 Recording by name} *)

@@ -12,20 +12,17 @@ one with --no-jit — and fails unless they are behaviourally identical:
 Trace normalization drops exactly the fields the engine split is allowed
 to touch, nothing else:
 
-  * timestamps — faultsim provisioning delays embed *measured*
-    allocator compute time (Cost_model.total over a wall-clock timing),
-    so ts is not reproducible even between identical runs;
   * span ids — the jit run emits extra jit.compile instants, which
     consume ids and shift every later span_id/parent_span_id (including
     nested keys like admit.span_id) by a constant offset;
   * the per-exec "jit" attribute and the jit.compile instants
     themselves.
 
-Everything else — event names, phases, decisions, fids, switch ids,
-pass/pipeline counts, fault verdicts — must be byte-equal, in order.
+Everything else — event names, phases, timestamps and durations on the
+simulated clock, decisions, fids, switch ids, pass/pipeline counts, fault
+verdicts — must be byte-equal, in order.
 
-Histograms are wall-clock latency distributions and are skipped for the
-same reason as ts.
+Histograms are wall-clock latency distributions and are skipped.
 
 Usage: jit_smoke_compare.py METRICS_JIT METRICS_NOJIT TRACE_JIT TRACE_NOJIT
 """
@@ -85,6 +82,8 @@ def normalize_trace(path):
             (
                 e.get("name"),
                 e.get("ph"),
+                e.get("ts"),
+                e.get("dur"),
                 tuple(sorted((k, str(v)) for k, v in args.items())),
             )
         )

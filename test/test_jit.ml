@@ -1,11 +1,13 @@
 (* Differential tests for the JIT specialization tier (Activermt.Jit).
 
    The contract under test (jit.mli): execution through compiled closures
-   is *bit-identical* to the interpreter — the same result record, the
-   same trace_event stream, the same register-array contents and access
-   counts, the same device drop/recirculation counters — across faults
-   (protection, privilege, recirculation limits, explicit drops),
-   quiescence, and invalidation (reinstall, migration, departure).
+   is equivalent to the interpreter — the same result record, the same
+   register-array contents and access counts, the same device
+   drop/recirculation counters — across faults (protection, privilege,
+   recirculation limits, explicit drops), quiescence, and invalidation
+   (reinstall, migration, departure).  Every check calls [Jit.run] as the
+   fabric does, so it runs the compiled path that serves packets: fused
+   blocks, superinstructions and straight chains.
 
    Every check runs a "twin world": two identical device+table pairs, one
    driven by Runtime.run, the other by Jit.run, fed the same packet
@@ -26,6 +28,7 @@ module Hh_client = Activermt_client.Hh_client
 module Lb_client = Activermt_client.Lb_client
 module Mutant = Activermt_compiler.Mutant
 module Kv = Workload.Kv
+module Tel = Activermt_telemetry.Telemetry
 
 let params = Rmt.Params.default
 
@@ -54,44 +57,38 @@ let twin ?(params = params) ?privileged ?max_passes ?(virtual_addressing = true)
   in
   let it = mk () in
   let jt = mk () in
-  { it; jt; jit = Jit.create jt }
+  { it; jt; jit = Jit.create ~telemetry:(Tel.create ()) jt }
 
 let meta = RT.meta ~flow_key:[| 0xBEEF; 0xCAFE |] ~src:100 ~dst:200 ()
 
 (* Full observable device state: register contents and access counts for
-   every stage, plus the drop/recirculation counters. *)
+   every stage, plus the drop/recirculation counters.  The contents are
+   the live arrays, not copies: compare two states right away. *)
 let device_state tbl =
   let d = Tbl.device tbl in
   let per_stage =
     Array.map
       (fun s ->
         let regs = s.Rmt.Device.regs in
-        let words = Rmt.Register_array.words regs in
-        ( Rmt.Register_array.snapshot_range regs ~lo:0 ~hi:(words - 1),
-          Rmt.Register_array.access_count regs ))
+        (regs.Rmt.Register_array.data, Rmt.Register_array.access_count regs))
       (Rmt.Device.stages d)
   in
   (per_stage, Rmt.Device.drops d, Rmt.Device.recirculations d)
 
 let exec_both w pkt =
-  let iev = ref [] in
-  let jev = ref [] in
-  let ri = RT.run ~on_event:(fun e -> iev := e :: !iev) w.it ~meta pkt in
-  let rj, mode =
-    Jit.run_info ~on_event:(fun e -> jev := e :: !jev) w.jit ~meta pkt
-  in
-  (ri, List.rev !iev, rj, List.rev !jev, mode)
+  let ri = RT.run w.it ~meta pkt in
+  let rj, mode = Jit.run_info w.jit ~meta pkt in
+  (ri, rj, mode)
 
 (* Structural comparison covers the whole result record (args_out arrays,
-   drop reasons) and the whole trace-event stream. *)
+   drop reasons) and the whole device state. *)
 let identical w pkt =
-  let ri, iev, rj, jev, _ = exec_both w pkt in
-  ri = rj && iev = jev && device_state w.it = device_state w.jt
+  let ri, rj, _ = exec_both w pkt in
+  ri = rj && device_state w.it = device_state w.jt
 
 let check_identical msg w pkt =
-  let ri, iev, rj, jev, _ = exec_both w pkt in
+  let ri, rj, _ = exec_both w pkt in
   Alcotest.(check bool) (msg ^ ": result") true (ri = rj);
-  Alcotest.(check bool) (msg ^ ": trace stream") true (iev = jev);
   Alcotest.(check bool)
     (msg ^ ": device state")
     true
@@ -152,7 +149,7 @@ let app_pool t =
 let test_real_apps_identical () =
   let ti = setup_tenants () in
   let tj = setup_tenants () in
-  let jit = Jit.create tj.tables in
+  let jit = Jit.create ~telemetry:(Tel.create ()) tj.tables in
   let ipool = app_pool ti in
   let jpool = app_pool tj in
   (* Three rounds: round 1 compiles (cache misses, cold sketches), later
@@ -160,13 +157,9 @@ let test_real_apps_identical () =
   for round = 1 to 3 do
     Array.iteri
       (fun k ipkt ->
-        let iev = ref [] in
-        let jev = ref [] in
-        let ri = RT.run ~on_event:(fun e -> iev := e :: !iev) ti.tables ~meta ipkt in
-        let rj =
-          Jit.run ~on_event:(fun e -> jev := e :: !jev) jit ~meta jpool.(k)
-        in
-        if not (ri = rj && !iev = !jev) then
+        let ri = RT.run ti.tables ~meta ipkt in
+        let rj = Jit.run jit ~meta jpool.(k) in
+        if ri <> rj then
           Alcotest.failf "round %d packet %d diverged" round k)
       ipool;
     Alcotest.(check bool)
@@ -263,7 +256,7 @@ let test_quiescence_identical () =
   Tbl.quiesce w.jt ~fid:1;
   Alcotest.(check bool) "quiesced FID not specialized" false
     (Jit.would_specialize w.jit incr);
-  let _, _, rj, _, mode = exec_both w incr in
+  let _, rj, mode = exec_both w incr in
   Alcotest.(check bool) "passes through unprocessed" true rj.RT.quiesced;
   Alcotest.(check bool) "interpreter fallback while quiesced" true
     (mode = Jit.Interpreted);
@@ -319,7 +312,7 @@ let test_departure_invalidation () =
 
 let test_disabled_jit () =
   let w = twin () in
-  let jit = Jit.create ~enabled:false w.jt in
+  let jit = Jit.create ~enabled:false ~telemetry:(Tel.create ()) w.jt in
   let pkt = exec_pkt ~args:[| 3; 0; 0; 0 |] [ I.Mem_increment; I.Return ] in
   Alcotest.(check bool) "disabled jit never specializes" false
     (Jit.would_specialize jit pkt);
@@ -338,6 +331,29 @@ let test_non_exec_passthrough () =
   let rj, mode = Jit.run_info w.jit ~meta pkt in
   Alcotest.(check bool) "bare packets interpreted" true (mode = Jit.Interpreted);
   Alcotest.(check bool) "same result" true (ri = rj)
+
+(* The registry holds the counts as they happen: N runs of one program
+   publish one miss and N-1 hits without any flush. *)
+let test_counts_published () =
+  let tel = Tel.create () in
+  let w = twin () in
+  let jit = Jit.create ~telemetry:tel w.jt in
+  let pkt = exec_pkt ~args:[| 3; 0; 0; 0 |] [ I.Mem_increment; I.Return ] in
+  let n = 25 in
+  for _ = 1 to n do
+    ignore (Jit.run jit ~meta pkt)
+  done;
+  Alcotest.(check (list int))
+    "jit.hit, jit.miss, jit.compile in the registry"
+    [ n - 1; 1; 1 ]
+    [
+      Tel.counter_value tel "jit.hit";
+      Tel.counter_value tel "jit.miss";
+      Tel.counter_value tel "jit.compile";
+    ];
+  let hits, misses, compiles, _ = Jit.stats jit in
+  Alcotest.(check (list int)) "stats read the same cells" [ n - 1; 1; 1 ]
+    [ hits; misses; compiles ]
 
 (* -- Properties ----------------------------------------------------------- *)
 
@@ -369,6 +385,126 @@ let prop_jit_matches_interpreter =
       let p = P.v (P.plain instrs) in
       identical w (Pkt.exec ~fid:1 ~seq:0 ~args:args1 p)
       && identical w (Pkt.exec ~fid:1 ~seq:1 ~args:args2 p))
+
+(* Programs with forward jumps: random label-free filler with CJUMP /
+   CJUMPI / UJUMP slots, each label placed on a line after every jump that
+   targets it.  Jumps rule out the whole-program chain, so these run the
+   block driver and its labelled re-entry. *)
+let branchy_gen st =
+  let n = QCheck.Gen.int_range 2 45 st in
+  let lines =
+    Array.init n (fun _ ->
+        if QCheck.Gen.int_range 0 5 st = 0 then
+          let l = QCheck.Gen.int_range 1 6 st in
+          match QCheck.Gen.int_range 0 2 st with
+          | 0 -> I.Cjump l
+          | 1 -> I.Cjumpi l
+          | _ -> I.Ujump l
+        else instr_gen st)
+  in
+  let labels = Array.make n None in
+  let extra = ref [] in
+  for l = 1 to 6 do
+    let last_use = ref (-1) in
+    Array.iteri (fun pc i -> if I.branch_target i = Some l then last_use := pc) lines;
+    if !last_use >= 0 then begin
+      let free =
+        List.filter
+          (fun pc -> pc > !last_use && labels.(pc) = None)
+          (List.init n Fun.id)
+      in
+      match free with
+      | [] -> extra := P.line ~label:l (instr_gen st) :: !extra
+      | _ -> labels.(QCheck.Gen.oneofl free st) <- Some l
+    end
+  done;
+  let body =
+    List.init n (fun pc ->
+        match labels.(pc) with
+        | Some label -> P.line ~label lines.(pc)
+        | None -> P.line lines.(pc))
+  in
+  P.v (body @ List.rev !extra)
+
+(* A smaller register file keeps the per-packet device comparison cheap
+   in the generated-program properties below. *)
+let small_params = { params with Rmt.Params.words_per_stage = 4096 }
+
+let prop_branchy_matches_interpreter =
+  QCheck.Test.make ~name:"jit = interpreter on programs with forward jumps"
+    ~count:300
+    (QCheck.make ~print:P.to_assembly branchy_gen)
+    (fun p ->
+      let w = twin ~params:small_params ~privileged:true () in
+      let args seq = [| 7 * seq; seq land 1; (seq lsr 1) land 1; 0xFFFF |] in
+      List.for_all
+        (fun seq -> identical w (Pkt.exec ~fid:1 ~seq ~args:(args seq) p))
+        [ 0; 1; 2; 3 ])
+
+(* The synthesizer's canonical chains, each of which the JIT fuses into
+   one superinstruction, spliced between random filler.  The FID holds a
+   virtually addressed region of random size at every stage, so a chain
+   fuses wherever it lands inside a pass. *)
+let chains =
+  let a k = Option.get (I.arg_of_index k) in
+  [
+    (fun _ _ -> [ I.Hash; I.Addr_mask; I.Addr_offset; I.Mem_minreadinc ]);
+    (fun x _ -> [ I.Mar_load (a x); I.Addr_mask; I.Addr_offset; I.Mem_read ]);
+    (fun x _ -> [ I.Mar_load (a x); I.Mem_read; I.Min; I.Mbr_equals_mbr2; I.Creti ]);
+    (fun _ y -> [ I.Hash; I.Copy_mbr_mar; I.Mbr_equals_mbr2; I.Mbr_store (a y); I.Return ]);
+    (fun _ _ ->
+      [ I.Copy_mar_mbr; I.Copy_mbr_mbr2; I.Bit_and_mar_mbr; I.Copy_mbr_mar; I.Copy_mbr2_mbr ]);
+    (fun x y -> [ I.Mar_load (a x); I.Mem_read; I.Mbr_equals_data (a y); I.Cret ]);
+    (fun _ y -> [ I.Mem_read; I.Mbr_equals_data (a y); I.Cret ]);
+    (fun _ y -> [ I.Rts; I.Mem_read; I.Mbr_store (a y); I.Return ]);
+    (fun _ _ -> [ I.Rts; I.Mem_write; I.Return ]);
+    (fun x y -> [ I.Mbr_load (a x); I.Mbr2_load (a y); I.Copy_hashdata_mbr; I.Copy_hashdata_mbr2 ]);
+    (fun x _ -> [ I.Mbr_load (a x); I.Copy_hashdata_mbr ]);
+    (fun _ _ -> [ I.Copy_mbr2_mbr; I.Mem_increment ]);
+    (fun x _ -> [ I.Mar_load (a x); I.Mem_write ]);
+    (fun x _ -> [ I.Mbr_load (a x); I.Mem_write ]);
+    (fun x _ -> [ I.Mbr2_load (a x); I.Mem_write ]);
+  ]
+
+let chain_program_gen st =
+  let n_chains = QCheck.Gen.int_range 1 6 st in
+  let filler () =
+    List.init (QCheck.Gen.int_range 0 3 st) (fun _ ->
+        if QCheck.Gen.bool st then instr_gen st else I.Nop)
+  in
+  let parts =
+    List.init n_chains (fun _ ->
+        let chain = QCheck.Gen.oneofl chains st in
+        filler () @ chain (QCheck.Gen.int_range 0 3 st) (QCheck.Gen.int_range 0 3 st))
+  in
+  List.concat parts @ filler ()
+
+let region_gen st =
+  let n_words = QCheck.Gen.int_range 1 2048 st in
+  let start = QCheck.Gen.int_range 0 (small_params.Rmt.Params.words_per_stage - n_words) st in
+  (start, n_words)
+
+let prop_chains_match_interpreter =
+  QCheck.Test.make ~name:"jit = interpreter on superinstruction chains" ~count:300
+    (QCheck.make
+       ~print:(fun (instrs, _, _) -> P.to_assembly (P.v (P.plain instrs)))
+       QCheck.Gen.(
+         triple chain_program_gen
+           (fun st -> List.init 20 (fun s -> let lo, n = region_gen st in (s, lo, n)))
+           (list_repeat 3 (array_size (return 4) (int_range 0 0xFFFFFFFF)))))
+    (fun (instrs, stages, argss) ->
+      let w = twin ~params:small_params ~privileged:true ~stages () in
+      let p = P.v (P.plain instrs) in
+      let meta_of seq =
+        RT.meta ~flow_key:[| 0xBEEF + seq; 0xCAFE * seq |] ~src:100 ~dst:200 ()
+      in
+      List.for_all
+        (fun (seq, args) ->
+          let pkt = Pkt.exec ~fid:1 ~seq ~args p in
+          let meta = meta_of seq in
+          RT.run w.it ~meta pkt = Jit.run w.jit ~meta pkt
+          && device_state w.it = device_state w.jt)
+        (List.mapi (fun i a -> (i, a)) argss))
 
 (* Invalidation safety: after a random reallocation the JIT may never
    serve the closure specialized against the old bounds. *)
@@ -436,10 +572,14 @@ let () =
           Alcotest.test_case "disabled jit (--no-jit)" `Quick test_disabled_jit;
           Alcotest.test_case "non-exec passthrough" `Quick
             test_non_exec_passthrough;
+          Alcotest.test_case "hit/miss counts published" `Quick
+            test_counts_published;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_jit_matches_interpreter;
+          QCheck_alcotest.to_alcotest prop_branchy_matches_interpreter;
+          QCheck_alcotest.to_alcotest prop_chains_match_interpreter;
           QCheck_alcotest.to_alcotest prop_reinstall_safe;
           QCheck_alcotest.to_alcotest prop_hash_words2;
         ] );

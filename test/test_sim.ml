@@ -287,6 +287,139 @@ let test_memsync_driver_over_lossy_fabric () =
     stages;
   Alcotest.(check bool) "loss actually occurred" true (Fabric.stats_lost fabric > 0)
 
+(* The grant is scheduled on the modeled control-plane work (table
+   updates, snapshot, notification); the allocator's measured compute
+   time is host time and must not reach the simulated clock, or same-seed
+   replays diverge. *)
+let test_fabric_grant_at_modeled_delay () =
+  let wire = 5.0e-6 in
+  let engine = Engine.create () in
+  let controller = Controller.create ~mode:`Interactive (Rmt.Device.create params) in
+  let fabric = Fabric.create ~wire_latency_s:wire ~engine ~controller () in
+  let granted_at = ref None in
+  Fabric.attach fabric 10 (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active pkt when Negotiate.granted_regions pkt <> None ->
+        granted_at := Some (Engine.now engine)
+      | _ -> ());
+  Fabric.send fabric
+    (Fabric.msg ~src:10 ~dst:Fabric.switch_address
+       (Fabric.Active (Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service)));
+  Engine.run engine;
+  let b =
+    match Controller.provision_log controller with
+    | [ b ] -> b
+    | l -> Alcotest.failf "expected one provision, got %d" (List.length l)
+  in
+  let modeled =
+    Activermt_control.Cost_model.(b.table_update_s +. b.snapshot_s +. b.notify_s)
+  in
+  match !granted_at with
+  | None -> Alcotest.fail "no grant delivered"
+  | Some t ->
+    Alcotest.(check (float 0.0)) "request hop + modeled delay + response hop"
+      (wire +. (modeled +. wire)) t
+
+(* A Stages tracer runs each traced capsule through the interpreter: the
+   fabric's device.stage instants are exactly [Runtime.run ~on_event]'s
+   events, and every delivery equals an untraced fabric's. *)
+let test_fabric_stage_detail () =
+  let module Trace = Activermt_telemetry.Trace in
+  let world tracer =
+    let engine = Engine.create () in
+    let controller = Controller.create ~mode:`Interactive (Rmt.Device.create params) in
+    let fabric = Fabric.create ~tracer ~engine ~controller () in
+    let got = ref [] in
+    let regions = ref None in
+    let record msg =
+      (match msg.Fabric.payload with
+      | Fabric.Active pkt -> (
+        match Negotiate.granted_regions pkt with
+        | Some r -> regions := Some r
+        | None -> ())
+      | _ -> ());
+      got := (msg.Fabric.dst, msg.Fabric.payload) :: !got
+    in
+    Fabric.attach fabric 10 record;
+    Fabric.attach fabric 20 record;
+    Fabric.send fabric
+      (Fabric.msg ~src:10 ~dst:Fabric.switch_address
+         (Fabric.Active (Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service)));
+    Engine.run engine;
+    (engine, controller, fabric, got, Option.get !regions)
+  in
+  let tracer = Trace.create ~verbosity:Trace.Stages () in
+  let e_s, _, f_s, got_s, regions = world tracer in
+  let e_p, _, f_p, got_p, _ = world Trace.noop in
+  let _, c_ref, _, _, _ = world Trace.noop in
+  let cc =
+    match
+      Activermt_client.Cache_client.create params
+        ~policy:Activermt_compiler.Mutant.Most_constrained ~fid:1 ~regions
+    with
+    | Ok cc -> cc
+    | Error e -> Alcotest.fail e
+  in
+  let module Cc = Activermt_client.Cache_client in
+  let key = Workload.Kv.key_of_rank 3 in
+  let capsules =
+    [
+      Cc.populate_packet cc ~seq:1 key ~value:5;
+      Cc.query_packet cc ~seq:2 key;
+      Cc.query_packet cc ~seq:3 (Workload.Kv.key_of_rank 9);
+    ]
+  in
+  let expected = ref [] in
+  List.iter
+    (fun pkt ->
+      let m = Fabric.msg ~src:10 ~dst:20 (Fabric.Active pkt) in
+      Fabric.inject f_s m;
+      Engine.run e_s;
+      Fabric.send f_p m;
+      Engine.run e_p;
+      ignore
+        (Activermt.Runtime.run
+           ~on_event:(fun e -> expected := e :: !expected)
+           (Controller.tables c_ref)
+           ~meta:(Activermt.Runtime.meta ~src:10 ~dst:20 ())
+           pkt))
+    capsules;
+  let attrs_of (e : Activermt.Runtime.trace_event) =
+    [
+      ("pass", string_of_int e.Activermt.Runtime.tr_pass);
+      ("stage", string_of_int e.Activermt.Runtime.tr_stage);
+      ("pc", string_of_int e.Activermt.Runtime.tr_pc);
+      ("instr", Format.asprintf "%a" Activermt.Instr.pp e.Activermt.Runtime.tr_instr);
+      ("skipped", if e.Activermt.Runtime.tr_skipped then "1" else "0");
+      ("mar", string_of_int e.Activermt.Runtime.tr_mar);
+      ("mbr", string_of_int e.Activermt.Runtime.tr_mbr);
+      ("mbr2", string_of_int e.Activermt.Runtime.tr_mbr2);
+    ]
+  in
+  let stage_events =
+    List.filter_map
+      (fun (ev : Trace.event) ->
+        if ev.Trace.name = "device.stage" then
+          Some (List.filter (fun (k, _) -> k <> "switch") ev.Trace.attrs)
+        else None)
+      (Trace.events tracer)
+  in
+  Alcotest.(check bool) "stage events emitted" true (stage_events <> []);
+  Alcotest.(check (list (list (pair string string))))
+    "device.stage = interpreter events"
+    (List.rev_map attrs_of !expected)
+    stage_events;
+  Alcotest.(check bool) "deliveries equal the untraced fabric's" true (!got_s = !got_p);
+  let jit_attrs =
+    List.filter_map
+      (fun (ev : Trace.event) ->
+        if ev.Trace.name = "device.exec" then List.assoc_opt "jit" ev.Trace.attrs
+        else None)
+      (Trace.events tracer)
+  in
+  Alcotest.(check (list string)) "staged capsules are interpreted"
+    [ "false"; "false"; "false" ] jit_attrs
+
 (* -- Telemetry names ------------------------------------------------------ *)
 
 module Telemetry = Activermt_telemetry.Telemetry
@@ -339,7 +472,6 @@ let fabric_golden_counters () =
   in
   send 10 20 (Fabric.Active (Pkt.exec ~fid:1 ~seq:4 ~args:[||] dropper));
   send 40 20 (Fabric.Kv_request { key });
-  Activermt.Jit.flush_stats (Fabric.jit fabric);
   Telemetry.counters tel
 
 let test_fabric_counter_golden () =
@@ -389,6 +521,9 @@ let () =
           Alcotest.test_case "drop accounting" `Quick test_fabric_drop_accounting;
           Alcotest.test_case "memsync over loss" `Quick test_memsync_driver_over_lossy_fabric;
           Alcotest.test_case "release" `Quick test_fabric_release;
+          Alcotest.test_case "grant at modeled delay" `Quick
+            test_fabric_grant_at_modeled_delay;
+          Alcotest.test_case "stage-detail tracing" `Quick test_fabric_stage_detail;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "counter golden" `Quick test_fabric_counter_golden ] );
