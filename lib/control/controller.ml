@@ -27,7 +27,9 @@ type t = {
   cost : Cost_model.t;
   mode : commit_mode;
   extraction_timeout_s : float;
-  snapshots : (Activermt.Packet.fid, (int * Pool.range * int array) list) Hashtbl.t;
+  shadows : int array array;
+      (* per stage, the old words of the apps being relocated, at their
+         original offsets; [||] until the stage's first relocation *)
   virtual_flags : (Activermt.Packet.fid, bool) Hashtbl.t;
   privileged : (Activermt.Packet.fid, unit) Hashtbl.t;
   pass_limits : (Activermt.Packet.fid, int) Hashtbl.t;
@@ -59,7 +61,7 @@ let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
     series;
     tracer;
     admit_traces = Hashtbl.create 32;
-    snapshots = Hashtbl.create 32;
+    shadows = Array.make (Rmt.Device.params device).Rmt.Params.logical_stages [||];
     virtual_flags = Hashtbl.create 32;
     privileged = Hashtbl.create 8;
     pass_limits = Hashtbl.create 8;
@@ -72,8 +74,6 @@ let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
 let tables t = t.tables
 let allocator t = t.allocator
 let device t = t.device
-
-let words_per_block t = Rmt.Params.words_per_block (Rmt.Device.params t.device)
 
 let zero_regions t regions =
   Array.iteri
@@ -126,59 +126,62 @@ let commit_new_app t ~fid =
 
 (* --- Register-state relocation (Section 4.3) ------------------------ *)
 
-(* One reallocated app's move: its installed regions before the move, its
-   new regions (read from the allocator once, for both the diff and the
-   table install) and the snapshot of each stage whose region changed. *)
+(* One reallocated app's move: its installed regions before the move and
+   its new regions (read from the allocator once, for both the copy and
+   the table install). *)
 type move = {
   move_fid : Activermt.Packet.fid;
   prev : Activermt.Packet.region option array;
   next : Activermt.Packet.region option array option;
-  snaps : (int * Pool.range * int array) list;
 }
 
-(* Snapshot the stages of [fid]'s installed regions that its new
-   placement changes in start word or length.  Also returns the app's
-   full region size in words: the paper snapshots the whole app, and the
-   cost model charges for that. *)
+(* Words of an old region that relocation copies: the first min(old, new)
+   when the stage's start word moves, none when it stays.  A stage that
+   keeps its start word keeps its contents in place: no other app's
+   install, zeroing or copy-back writes inside this app's new regions. *)
+let moved_words (old : Activermt.Packet.region) = function
+  | Some (n : Activermt.Packet.region)
+    when n.Activermt.Packet.start_word <> old.Activermt.Packet.start_word ->
+    min old.Activermt.Packet.n_words n.Activermt.Packet.n_words
+  | Some _ | None -> 0
+
+(* In [`Auto] mode, copy the words of [fid]'s installed regions that its
+   new placement moves into the stage's shadow, at their own offsets: the
+   old regions of the apps relocated together are disjoint, so one shadow
+   per stage holds them all.  [`Interactive] clients re-inject their own
+   state, so nothing is copied there.  Also returns the app's full region
+   size in words: the paper snapshots the whole app, and the cost model
+   charges for that. *)
 let snapshot_move t fid =
   let next = Allocator.regions_response t.allocator ~fid in
   match Activermt.Table.regions_of t.tables ~fid with
-  | None -> ({ move_fid = fid; prev = [||]; next; snaps = [] }, 0)
+  | None -> ({ move_fid = fid; prev = [||]; next }, 0)
   | Some prev ->
-    let wpb = words_per_block t in
-    let snaps = ref [] in
     let words = ref 0 in
     Array.iteri
       (fun stage reg ->
         match reg with
         | None -> ()
-        | Some { Activermt.Packet.start_word; n_words } ->
-          words := !words + n_words;
-          let unchanged =
-            match next with Some next -> next.(stage) = reg | None -> false
+        | Some (old : Activermt.Packet.region) ->
+          words := !words + old.Activermt.Packet.n_words;
+          let len =
+            match next with
+            | Some next when t.mode = `Auto -> moved_words old next.(stage)
+            | Some _ | None -> 0
           in
-          if not unchanged then begin
-            let st = Rmt.Device.stage t.device stage in
-            let data =
-              Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
-                ~hi:(start_word + n_words - 1)
-            in
-            snaps :=
-              ( stage,
-                { Pool.first_block = start_word / wpb; n_blocks = n_words / wpb },
-                data )
-              :: !snaps
+          if len > 0 then begin
+            let regs = (Rmt.Device.stage t.device stage).Rmt.Device.regs in
+            if Array.length t.shadows.(stage) = 0 then
+              t.shadows.(stage) <- Array.make (Rmt.Register_array.words regs) 0;
+            let pos = old.Activermt.Packet.start_word in
+            Rmt.Register_array.copy regs To_buffer ~pos t.shadows.(stage) ~buf_pos:pos
+              ~len
           end)
       prev;
-    let snaps = List.rev !snaps in
-    Hashtbl.replace t.snapshots fid snaps;
-    ({ move_fid = fid; prev; next; snaps }, !words)
+    ({ move_fid = fid; prev; next }, !words)
 
 (* Reinstall a moved app's tables from its new regions and, in [`Auto]
-   mode, copy the first min(old, new) words of every stage whose start
-   word moved back from the snapshot.  A stage that keeps its start word
-   keeps its contents in place: no other app's install, zeroing or
-   copy-back writes inside this app's new regions. *)
+   mode, copy each moved stage's words back from the shadow. *)
 let apply_move t m =
   let fid = m.move_fid in
   match m.next with
@@ -186,17 +189,18 @@ let apply_move t m =
   | Some next ->
     install_regions t ~fid ~virtual_addressing:(virtual_of t fid) next;
     if t.mode = `Auto then
-      List.iter
-        (fun (stage, _, data) ->
-          match (m.prev.(stage), next.(stage)) with
-          | Some old, Some { Activermt.Packet.start_word; n_words }
-            when start_word <> old.Activermt.Packet.start_word ->
-            let st = Rmt.Device.stage t.device stage in
-            Rmt.Register_array.restore_range st.Rmt.Device.regs ~lo:start_word
-              ~len:(min n_words (Array.length data))
-              data
-          | _ -> ())
-        m.snaps
+      Array.iteri
+        (fun stage reg ->
+          match reg with
+          | None -> ()
+          | Some (old : Activermt.Packet.region) ->
+            let len = moved_words old next.(stage) in
+            if len > 0 then
+              Rmt.Register_array.copy
+                (Rmt.Device.stage t.device stage).Rmt.Device.regs From_buffer
+                ~pos:(Option.get next.(stage)).Activermt.Packet.start_word
+                t.shadows.(stage) ~buf_pos:old.Activermt.Packet.start_word ~len)
+        m.prev
 
 (* The relocation path shared by admission, epoch drain and departure.
    Snapshots what moves for every app in [fids] (the [control.snapshot]
@@ -683,7 +687,6 @@ let handle_departure ?trace t ~fid =
   @@ fun tctx ->
   Activermt.Table.remove t.tables ~fid;
   Hashtbl.remove t.admit_traces fid;
-  Hashtbl.remove t.snapshots fid;
   (* A service departing mid-extraction no longer blocks the pending
      admission. *)
   (match t.pending with
@@ -735,9 +738,6 @@ let expire t ~elapsed_s =
       finish_pending_if_done t
     end
 
-let snapshot_of t ~fid =
-  Option.value ~default:[] (Hashtbl.find_opt t.snapshots fid)
-
 let read_region t ~fid ~stage =
   match Activermt.Table.regions_of t.tables ~fid with
   | None -> None
@@ -745,10 +745,10 @@ let read_region t ~fid ~stage =
     match regions.(stage) with
     | None -> None
     | Some { Activermt.Packet.start_word; n_words } ->
-      let st = Rmt.Device.stage t.device stage in
-      Some
-        (Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
-           ~hi:(start_word + n_words - 1)))
+      let out = Array.make n_words 0 in
+      Rmt.Register_array.copy (Rmt.Device.stage t.device stage).Rmt.Device.regs
+        To_buffer ~pos:start_word out ~buf_pos:0 ~len:n_words;
+      Some out)
 
 let write_region_word t ~fid ~stage ~index ~value =
   match Activermt.Table.regions_of t.tables ~fid with

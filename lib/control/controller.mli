@@ -181,17 +181,9 @@ val regions_packet :
     regions; used to inform reallocated clients of their new placement.
     [None] if the FID is not resident. *)
 
-val snapshot_of :
-  t -> fid:Activermt.Packet.fid -> (int * Pool.range * int array) list
-(** Consistent snapshot (stage, old block range, words) taken for the FID
-    at its last reallocation, holding only the stages whose region that
-    reallocation changed in start word or length; [] if none.  Stages
-    that kept their region keep their contents in place and are not
-    copied.  The modeled {!Cost_model.breakdown} still charges the full
-    app's words, as the paper's controller snapshots the whole app. *)
-
 val read_region : t -> fid:Activermt.Packet.fid -> stage:int -> int array option
-(** Control-plane (BFRT-style) read of the app's current region. *)
+(** Control-plane (BFRT-style) read of the app's current region, as a
+    fresh array. *)
 
 val write_region_word :
   t -> fid:Activermt.Packet.fid -> stage:int -> index:int -> value:int -> bool

@@ -85,29 +85,27 @@ let zero_range t ~lo ~hi =
 
 let access_count t = t.accesses
 
-(* The copies below are loops over [t.data], which is statically an
-   [int array], so each store compiles to a plain write.  [Array.sub] and
-   [Array.blit] are polymorphic: on a major-heap array they go through
-   the write barrier ([caml_initialize]/[caml_modify]) for every word,
-   several times slower.  Indices are checked up front, so the loops use
-   unchecked accesses. *)
-let snapshot_range t ~lo ~hi =
-  check t lo;
-  check t hi;
-  let data = t.data in
-  let out = Array.make (hi - lo + 1) 0 in
-  for i = 0 to hi - lo do
-    Array.unsafe_set out i (Array.unsafe_get data (lo + i))
-  done;
-  out
+type copy_dir = To_buffer | From_buffer
 
-let restore_range t ~lo ~len (values : int array) =
-  check t lo;
-  if len < 0 || len > Array.length values then
-    invalid_arg "Register_array.restore_range: length exceeds values";
-  if lo + len > Array.length t.data then
-    invalid_arg "Register_array.restore_range: range exceeds array";
+(* A loop over [t.data], which is statically an [int array], so each
+   store compiles to a plain write.  [Array.blit] is polymorphic: on a
+   major-heap array it goes through the write barrier for every word,
+   several times slower.  Ranges are checked up front, so the loops use
+   unchecked accesses. *)
+let copy t dir ~pos (buf : int array) ~buf_pos ~len =
+  check t pos;
+  if len < 0 then invalid_arg "Register_array.copy: negative length";
+  if pos + len > Array.length t.data then
+    invalid_arg "Register_array.copy: range exceeds array";
+  if buf_pos < 0 || buf_pos + len > Array.length buf then
+    invalid_arg "Register_array.copy: range exceeds buffer";
   let data = t.data in
-  for i = 0 to len - 1 do
-    Array.unsafe_set data (lo + i) (Array.unsafe_get values i)
-  done
+  match dir with
+  | To_buffer ->
+    for i = 0 to len - 1 do
+      Array.unsafe_set buf (buf_pos + i) (Array.unsafe_get data (pos + i))
+    done
+  | From_buffer ->
+    for i = 0 to len - 1 do
+      Array.unsafe_set data (pos + i) (Array.unsafe_get buf (buf_pos + i))
+    done

@@ -63,13 +63,15 @@ val zero_range : t -> lo:int -> hi:int -> unit
 val access_count : t -> int
 (** Total data-plane accesses since creation. *)
 
-val snapshot_range : t -> lo:int -> hi:int -> int array
-(** Fresh copy of the inclusive range [lo..hi], used for consistent
-    snapshots during reallocation (Section 4.3).
-    @raise Invalid_argument if [lo] or [hi] is out of bounds. *)
+type copy_dir =
+  | To_buffer  (** register words -> buffer *)
+  | From_buffer  (** buffer -> register words *)
 
-val restore_range : t -> lo:int -> len:int -> int array -> unit
-(** [restore_range t ~lo ~len values] writes [values.(0 .. len-1)] to
-    words [lo .. lo+len-1]; words of [values] past [len] are ignored.
-    @raise Invalid_argument if [lo] is out of bounds, [len] is negative
-    or exceeds [values], or [lo + len] exceeds the array. *)
+val copy : t -> copy_dir -> pos:int -> int array -> buf_pos:int -> len:int -> unit
+(** [copy t dir ~pos buf ~buf_pos ~len] copies [len] words between
+    register words [pos .. pos+len-1] and [buf.(buf_pos .. buf_pos+len-1)]
+    in direction [dir]: the control plane's bulk read and write, used to
+    relocate register state (Section 4.3).  Not counted as data-plane
+    accesses.
+    @raise Invalid_argument if [pos] is out of bounds, [len] is
+    negative, or either range runs past the end of its array. *)

@@ -95,6 +95,10 @@ let test_auto_migration_copies_data () =
     Alcotest.(check int) "data migrated" 105 data.(5)
   | None -> Alcotest.fail "region"
 
+let stage_region ctl ~fid ~stage =
+  let regions = Option.get (Activermt.Table.regions_of (Controller.tables ctl) ~fid) in
+  Option.get regions.(stage)
+
 let test_snapshot_contents () =
   let ctl =
     Controller.create ~scheme:Activermt_alloc.Allocator.Best_fit
@@ -102,13 +106,49 @@ let test_snapshot_contents () =
   in
   ignore (admit_exn ctl 1 cache);
   ignore (Controller.write_region_word ctl ~fid:1 ~stage:1 ~index:3 ~value:42);
-  ignore (admit_exn ctl 2 cache);
-  match Controller.snapshot_of ctl ~fid:1 with
-  | [] -> Alcotest.fail "snapshot taken"
-  | snaps ->
-    let stage1 = List.find (fun (s, _, _) -> s = 1) snaps in
-    let _, _, data = stage1 in
-    Alcotest.(check int) "snapshot has pre-move data" 42 data.(3)
+  let before = stage_region ctl ~fid:1 ~stage:1 in
+  let p = admit_exn ctl 2 cache in
+  Alcotest.(check (list int)) "app 1 reallocated" [ 1 ] p.Controller.reallocated;
+  Alcotest.(check bool) "app 1's stage-1 region changed" true
+    (stage_region ctl ~fid:1 ~stage:1 <> before);
+  match Controller.read_region ctl ~fid:1 ~stage:1 with
+  | Some data -> Alcotest.(check int) "new region has pre-move data" 42 data.(3)
+  | None -> Alcotest.fail "region"
+
+(* Departure of app 1 slides apps 2 and 3 down on every stage, and app 3's
+   new region covers the tail of app 2's old one: whichever copies back
+   second must read its old words from the shadow, not the live array. *)
+let test_departure_moves_through_shadow () =
+  let ctl =
+    Controller.create ~scheme:Activermt_alloc.Allocator.Best_fit
+      (Rmt.Device.create params)
+  in
+  List.iter (fun f -> ignore (admit_exn ctl f cache)) [ 1; 2; 3 ];
+  let old2 = stage_region ctl ~fid:2 ~stage:1 in
+  let old3 = stage_region ctl ~fid:3 ~stage:1 in
+  let last = old2.Pkt.n_words - 1 in
+  List.iter
+    (fun (fid, index) ->
+      let value = (1000 * fid) + index in
+      ignore (Controller.write_region_word ctl ~fid ~stage:1 ~index ~value))
+    [ (2, 3); (2, last); (3, 3); (3, last) ];
+  ignore (Controller.handle_departure ctl ~fid:1);
+  let new2 = stage_region ctl ~fid:2 ~stage:1 in
+  let new3 = stage_region ctl ~fid:3 ~stage:1 in
+  Alcotest.(check bool) "both start words moved" true
+    (new2.Pkt.start_word <> old2.Pkt.start_word
+    && new3.Pkt.start_word <> old3.Pkt.start_word);
+  Alcotest.(check bool) "app 3's new region overlaps app 2's old one" true
+    (new3.Pkt.start_word < old2.Pkt.start_word + old2.Pkt.n_words);
+  List.iter
+    (fun (fid, index) ->
+      match Controller.read_region ctl ~fid ~stage:1 with
+      | Some data ->
+        Alcotest.(check int)
+          (Printf.sprintf "fid %d word %d" fid index)
+          ((1000 * fid) + index) data.(index)
+      | None -> Alcotest.fail "region")
+    [ (2, 3); (2, last); (3, 3); (3, last) ]
 
 let test_departure_expands () =
   let ctl =
@@ -165,6 +205,72 @@ let test_interactive_timeout () =
   Alcotest.(check (list int)) "timed out" [] (Controller.pending_extraction ctl);
   Alcotest.(check bool) "app 2 force-committed" true
     (Activermt.Table.installed (Controller.tables ctl) ~fid:2)
+
+(* Interactive clients extract and re-inject their own state, so the host
+   copies nothing: after the commit (by ack or by timeout) the tables
+   match the allocator, the modeled snapshot still charges the full app,
+   and a departure's slide leaves the device words where they were. *)
+let test_interactive_copies_nothing () =
+  List.iter
+    (fun (how, finish) ->
+      let ctl =
+        Controller.create ~mode:`Interactive ~extraction_timeout_s:0.5
+          ~scheme:Activermt_alloc.Allocator.Best_fit (Rmt.Device.create params)
+      in
+      let tables = Controller.tables ctl in
+      let alloc = Controller.allocator ctl in
+      let tables_match () =
+        List.iter
+          (fun f ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: fid %d tables match the allocator" how f)
+              true
+              (Activermt.Table.regions_of tables ~fid:f
+              = Activermt_alloc.Allocator.regions_response alloc ~fid:f))
+          (Activermt_alloc.Allocator.resident alloc)
+      in
+      ignore (admit_exn ctl 1 cache);
+      let full_words =
+        Array.fold_left
+          (fun acc -> function Some r -> acc + r.Pkt.n_words | None -> acc)
+          0
+          (Option.get (Activermt.Table.regions_of tables ~fid:1))
+      in
+      ignore (admit_exn ctl 2 cache);
+      (match List.rev (Controller.provision_log ctl) with
+      | b :: _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: snapshot_s charges %d words" how full_words)
+          true
+          (b.Cost_model.snapshot_s
+          = float_of_int full_words *. Cost_model.default.Cost_model.snapshot_word_s)
+      | [] -> Alcotest.fail "provision logged");
+      finish ctl;
+      Alcotest.(check (list int))
+        (how ^ ": none pending") [] (Controller.pending_extraction ctl);
+      tables_match ();
+      ignore (admit_exn ctl 3 cache);
+      finish ctl;
+      let old2 = stage_region ctl ~fid:2 ~stage:1 in
+      let regs = (Rmt.Device.stage (Controller.device ctl) 1).Rmt.Device.regs in
+      ignore (Controller.write_region_word ctl ~fid:2 ~stage:1 ~index:3 ~value:2003);
+      ignore (Controller.handle_departure ctl ~fid:1);
+      tables_match ();
+      let new2 = stage_region ctl ~fid:2 ~stage:1 in
+      Alcotest.(check bool) (how ^ ": app 2 slid") true
+        (new2.Pkt.start_word <> old2.Pkt.start_word);
+      Alcotest.(check int) (how ^ ": old word left in place") 2003
+        (Rmt.Register_array.get regs (old2.Pkt.start_word + 3));
+      Alcotest.(check bool) (how ^ ": not copied to the new region") true
+        (Rmt.Register_array.get regs (new2.Pkt.start_word + 3) <> 2003))
+    [
+      ( "ack",
+        fun ctl ->
+          List.iter
+            (fun fid -> Controller.complete_extraction ctl ~fid)
+            (Controller.pending_extraction ctl) );
+      ("timeout", fun ctl -> Controller.expire ctl ~elapsed_s:1.0);
+    ]
 
 let test_departure_unblocks_pending () =
   (* The impacted app departs instead of acking: the pending admission
@@ -392,6 +498,11 @@ let reloc_apps =
 let reloc_moved = ref 0
 let reloc_kept = ref 0
 
+(* Operations in which a moved app's new region covers words that another
+   moved app copies back from its old region on the same stage: the case
+   that needs the old words saved before any copy-back. *)
+let reloc_cross = ref 0
+
 let gen_reloc_case =
   let open QCheck.Gen in
   let app = int_bound (Array.length reloc_apps - 1) in
@@ -521,6 +632,35 @@ let check_relocation policy (seed, ops) =
               old_regions
           end)
         old;
+      (* (fid, stage, words copied back from, words written to) of every
+         stage whose start word moved, as (start, length) *)
+      let copies =
+        List.concat_map
+          (fun f ->
+            if not (List.mem f after) then []
+            else
+              let new_regions = regions f in
+              List.concat
+                (List.mapi
+                   (fun stage reg ->
+                     match (reg, new_regions.(stage)) with
+                     | Some (o : Pkt.region), Some (n : Pkt.region)
+                       when o.Pkt.start_word <> n.Pkt.start_word ->
+                       let src = (o.Pkt.start_word, min o.Pkt.n_words n.Pkt.n_words) in
+                       [ (f, stage, src, (n.Pkt.start_word, n.Pkt.n_words)) ]
+                     | _ -> [])
+                   (Array.to_list (fst (List.assoc f old)))))
+          reallocated
+      in
+      let overlaps (a, la) (b, lb) = a < b + lb && b < a + la in
+      if
+        List.exists
+          (fun (f, stage, src, _) ->
+            List.exists
+              (fun (g, stage', _, dst) -> g <> f && stage' = stage && overlaps src dst)
+              copies)
+          copies
+      then incr reloc_cross;
       let full_words =
         List.fold_left
           (fun acc f ->
@@ -551,7 +691,9 @@ let relocation_property policy =
 
 let test_relocation_exercised () =
   Alcotest.(check bool) "some stages moved" true (!reloc_moved > 0);
-  Alcotest.(check bool) "some stages stayed in place" true (!reloc_kept > 0)
+  Alcotest.(check bool) "some stages stayed in place" true (!reloc_kept > 0);
+  Alcotest.(check bool) "some copy-back sources overwritten by another move" true
+    (!reloc_cross > 0)
 
 let test_cost_model_breakdown () =
   let b =
@@ -581,11 +723,15 @@ let () =
         [
           Alcotest.test_case "auto migration" `Quick test_auto_migration_copies_data;
           Alcotest.test_case "snapshot contents" `Quick test_snapshot_contents;
+          Alcotest.test_case "departure moves through the shadow" `Quick
+            test_departure_moves_through_shadow;
           Alcotest.test_case "departure expands" `Quick test_departure_expands;
           Alcotest.test_case "interactive protocol" `Quick test_interactive_protocol;
           Alcotest.test_case "interactive no-realloc" `Quick
             test_interactive_no_realloc_commits_directly;
           Alcotest.test_case "interactive timeout" `Quick test_interactive_timeout;
+          Alcotest.test_case "interactive copies nothing" `Quick
+            test_interactive_copies_nothing;
           Alcotest.test_case "departure unblocks pending" `Quick
             test_departure_unblocks_pending;
           Alcotest.test_case "regions packet" `Quick test_regions_packet;

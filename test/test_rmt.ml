@@ -127,10 +127,11 @@ let test_regs_snapshot_restore () =
   for i = 0 to 7 do
     R.set r i (10 * i)
   done;
-  let snap = R.snapshot_range r ~lo:2 ~hi:4 in
+  let snap = Array.make 3 0 in
+  R.copy r To_buffer ~pos:2 snap ~buf_pos:0 ~len:3;
   Alcotest.(check (array int)) "snapshot" [| 20; 30; 40 |] snap;
   R.zero_range r ~lo:0 ~hi:7;
-  R.restore_range r ~lo:5 ~len:(Array.length snap) snap;
+  R.copy r From_buffer ~pos:5 snap ~buf_pos:0 ~len:(Array.length snap);
   Alcotest.(check int) "restored elsewhere" 30 (R.get r 6)
 
 let test_regs_snapshot_round_trip () =
@@ -138,25 +139,31 @@ let test_regs_snapshot_round_trip () =
   for i = 0 to 15 do
     R.set r i (1000 + i)
   done;
-  let snap = R.snapshot_range r ~lo:3 ~hi:10 in
-  Alcotest.(check int) "inclusive length" 8 (Array.length snap);
+  (* A stage-sized buffer holding the range at its own offsets, as the
+     controller's relocation shadow does. *)
+  let shadow = Array.make 16 (-1) in
+  R.copy r To_buffer ~pos:3 shadow ~buf_pos:3 ~len:8;
+  Alcotest.(check (list int)) "copied at its offsets"
+    (List.init 16 (fun i -> if i >= 3 && i <= 10 then 1000 + i else -1))
+    (Array.to_list shadow);
   R.set r 3 0;
-  Alcotest.(check int) "snapshot is a copy" 1003 snap.(0);
+  Alcotest.(check int) "buffer is a copy" 1003 shadow.(3);
   R.zero_range r ~lo:0 ~hi:15;
-  R.restore_range r ~lo:3 ~len:(Array.length snap) snap;
+  R.copy r From_buffer ~pos:3 shadow ~buf_pos:3 ~len:8;
   Alcotest.(check (list int)) "round trip"
     (List.init 16 (fun i -> if i >= 3 && i <= 10 then 1000 + i else 0))
     (List.init 16 (R.get r));
-  R.restore_range r ~lo:12 ~len:2 snap;
+  R.copy r From_buffer ~pos:12 shadow ~buf_pos:3 ~len:2;
   Alcotest.(check (list int)) "prefix only" [ 1003; 1004; 0; 0 ]
     (List.init 4 (fun i -> R.get r (12 + i)));
-  R.restore_range r ~lo:15 ~len:0 snap;
-  R.restore_range r ~lo:0 ~len:0 [||];
-  Alcotest.(check int) "zero-length restore writes nothing" 0 (R.get r 15);
+  R.copy r From_buffer ~pos:15 shadow ~buf_pos:0 ~len:0;
+  R.copy r From_buffer ~pos:0 [||] ~buf_pos:0 ~len:0;
+  Alcotest.(check int) "zero-length copy writes nothing" 0 (R.get r 15);
   Alcotest.(check int) "accesses not counted" 0 (R.access_count r)
 
 let test_regs_snapshot_restore_bounds () =
   let r = R.create ~words:8 in
+  let buf = Array.make 8 (-1) in
   let raises name f =
     Alcotest.(check bool) name true
       (try
@@ -164,20 +171,30 @@ let test_regs_snapshot_restore_bounds () =
          false
        with Invalid_argument _ -> true)
   in
-  raises "snapshot lo < 0" (fun () -> ignore (R.snapshot_range r ~lo:(-1) ~hi:2));
-  raises "snapshot hi past end" (fun () -> ignore (R.snapshot_range r ~lo:0 ~hi:8));
-  raises "restore lo past end" (fun () -> R.restore_range r ~lo:8 ~len:0 [||]);
-  raises "restore lo < 0" (fun () -> R.restore_range r ~lo:(-1) ~len:1 [| 1 |]);
-  raises "restore len > values" (fun () -> R.restore_range r ~lo:0 ~len:3 [| 1; 2 |]);
-  raises "restore negative len" (fun () -> R.restore_range r ~lo:0 ~len:(-1) [| 1 |]);
-  Alcotest.check_raises "lo + len past end"
-    (Invalid_argument "Register_array.restore_range: range exceeds array")
-    (fun () -> R.restore_range r ~lo:6 ~len:3 [| 1; 2; 3 |]);
+  let copy dir ~pos b ~buf_pos ~len () = R.copy r dir ~pos b ~buf_pos ~len in
+  raises "read pos < 0" (copy To_buffer ~pos:(-1) buf ~buf_pos:0 ~len:3);
+  raises "read past end" (copy To_buffer ~pos:0 (Array.make 9 0) ~buf_pos:0 ~len:9);
+  raises "read past buffer" (copy To_buffer ~pos:0 buf ~buf_pos:6 ~len:3);
+  raises "read buf_pos < 0" (copy To_buffer ~pos:0 buf ~buf_pos:(-1) ~len:1);
+  raises "write pos past end" (copy From_buffer ~pos:8 [||] ~buf_pos:0 ~len:0);
+  raises "write pos < 0" (copy From_buffer ~pos:(-1) [| 1 |] ~buf_pos:0 ~len:1);
+  raises "write len > buffer" (copy From_buffer ~pos:0 [| 1; 2 |] ~buf_pos:0 ~len:3);
+  raises "write buf_pos past buffer"
+    (copy From_buffer ~pos:0 [| 1; 2 |] ~buf_pos:2 ~len:1);
+  raises "negative len" (copy From_buffer ~pos:0 [| 1 |] ~buf_pos:0 ~len:(-1));
+  Alcotest.check_raises "pos + len past end"
+    (Invalid_argument "Register_array.copy: range exceeds array")
+    (copy From_buffer ~pos:6 [| 1; 2; 3 |] ~buf_pos:0 ~len:3);
+  Alcotest.check_raises "buffer message"
+    (Invalid_argument "Register_array.copy: range exceeds buffer")
+    (copy From_buffer ~pos:0 [| 1; 2 |] ~buf_pos:1 ~len:2);
   Alcotest.check_raises "index message"
     (Invalid_argument "Register_array.access: index 8 out of bounds [0,8)")
-    (fun () -> ignore (R.snapshot_range r ~lo:2 ~hi:8));
-  Alcotest.(check (list int)) "failed restores wrote nothing" (List.init 8 (fun _ -> 0))
-    (List.init 8 (R.get r))
+    (copy To_buffer ~pos:8 buf ~buf_pos:0 ~len:0);
+  Alcotest.(check (list int)) "failed writes wrote nothing" (List.init 8 (fun _ -> 0))
+    (List.init 8 (R.get r));
+  Alcotest.(check (list int)) "failed reads wrote nothing" (List.init 8 (fun _ -> -1))
+    (Array.to_list buf)
 
 (* -- Tcam ---------------------------------------------------------------- *)
 
